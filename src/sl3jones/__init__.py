@@ -7,7 +7,7 @@ symmetric-function route (Adams operation plus Schur decomposition)
 cross-checks both the plethysm expansion and the invariant itself.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .jones import (ColoredJonesResult, DegreeReport, TorusKnotSpec,
                     degree_report, jones_rosso, jones_t2b)

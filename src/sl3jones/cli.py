@@ -3,9 +3,9 @@
 Subcommands: jones, plethysm, qdim, twist, degrees, table, selfcheck.
 Output is deterministic for a given parameter set, so results can be
 cached content-addressed by the canonical parameter string plus the
-package version; cache files are written atomically and corrupt entries
-are recomputed with a warning.  Exit codes: 0 success, 2 usage error,
-3 internal-consistency failure.
+package version; cache files are written atomically, corrupt entries
+are recomputed with a warning, and a failed store only warns.  Exit
+codes: 0 success, 2 usage error, 3 internal-consistency failure.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from multiprocessing import Pool
 
 from . import __version__
 from .jones import TorusKnotSpec, degree_report, jones_rosso, jones_t2b
-from .laurent import LaurentError
+from .laurent import LaurentError, ScaleError
 from .plethysm2 import psi2_closed, psi2_schur_form, signed_dimension
 from .schur3 import (generic_row_at_m2_one, psi_oracle, verify_lemma_LR,
                      verify_lemma_psi2_recurrence)
@@ -81,7 +81,11 @@ def _with_cache(args, key_parts: list[str], compute) -> str:
             return hit
     output = compute()
     if cdir:
-        _cache_store(cdir, key, output)
+        try:
+            _cache_store(cdir, key, output)
+        except OSError as exc:
+            print(f"warning: cache store in {cdir} failed: {exc}",
+                  file=sys.stderr)
     return output
 
 
@@ -98,7 +102,11 @@ def _enforce_limit(args) -> None:
 def _emit(args, text: str) -> int:
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as f:
+        try:
+            f = open(out, "w", encoding="utf-8", newline="\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {out}: {exc}") from None
+        with f:
             f.write(text)
     else:
         sys.stdout.write(text)
@@ -160,14 +168,20 @@ def _table_cell(cell) -> str:
     return row
 
 
+def _worker_count(jobs: int, cells: int) -> int:
+    """Pool size for --jobs: no more workers than cells or CPUs."""
+    return min(jobs, cells, os.cpu_count() or 1)
+
+
 def _table_text(a, b, mx, var, full, jobs) -> str:
     header = "m1,m2,min_deg,max_deg,min_coeff,max_coeff,term_count"
     if full:
         header += ",polynomial"
     cells = [(a, b, m1, m2, var, full)
              for m1 in range(mx + 1) for m2 in range(mx + 1)]
-    if jobs > 1:
-        with Pool(jobs) as pool:
+    workers = _worker_count(jobs, len(cells))
+    if workers > 1:
+        with Pool(workers) as pool:
             rows = pool.map(_table_cell, cells)
     else:
         rows = [_table_cell(c) for c in cells]
@@ -204,7 +218,10 @@ def _cmd_qdim(args) -> int:
 
 
 def _cmd_twist(args) -> int:
-    value = twist_monomial((args.m1, args.m2), args.num, args.den)
+    try:
+        value = twist_monomial((args.m1, args.m2), args.num, args.den)
+    except ScaleError as exc:
+        raise ValueError(str(exc)) from None
     if args.format == "json":
         text = json.dumps(value.to_json_dict(), separators=(",", ":"))
     else:

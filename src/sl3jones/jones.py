@@ -1,16 +1,16 @@
 """Colored sl3 invariants of torus knots, exactly, in the variable q.
 
-jones_t2b evaluates the closed form for T(2,b): the twist prefactor
-theta^(-2b) / qdim times the signed sum of qdim(mu) * theta(mu)^(b/2)
-over the second-plethysm expansion of the coloring weight.  The sum is
-accumulated with all quantum-integer denominators cleared (each quantum
-dimension contributes eight monomials), the universal factors are then
-divided back out exactly, and the single final div_exact by the coloring
-quantum dimension is the integrality checkpoint.
-
-jones_rosso is the independent route for general T(a,b): the degree-a
-Adams plethysm from the schur3 oracle, summed with quantum dimensions
-and fractional twist powers on the finer 1/(6a) exponent lattice.
+Both routes evaluate the Rosso-Jones sum for T(a, b) at color w,
+theta(w)^(-ab) / qdim(w) * sum_mu c_mu qdim(mu) theta(mu)^(b/a), over a
+signed expansion sum_mu c_mu V_mu of the degree-a Adams plethysm of V_w:
+jones_t2b over the closed form psi2_closed, jones_rosso over the schur3
+oracle psi_oracle.  With {n} = q^(n/2) - q^(-n/2), each quantum dimension
+is {m1+1}{m2+1}{m1+m2+2} / ({1}^3 [2]) and the shared denominator cancels.
+So each mu adds eight signed monomials to one sum on the 1/(6a) lattice,
+which is divided by the three factors {n} = q^(-n/2) (q^n - 1) of qdim(w).
+Dividing by q^n - 1 is a negated prefix sum along stride n of the dense
+coefficient list; each division must leave a zero remainder, and the
+result must reduce to integer exponents.
 
 Internally everything is a polynomial in q; results for the 1/q
 convention are obtained by mirroring at the edge, and the variable tag
@@ -20,13 +20,15 @@ travels with the result.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from math import gcd
 
-from .laurent import ScaledLaurent, UndefinedDegreeError
+from .laurent import (InexactDivisionError, NonIntegralExponentError,
+                      ScaledLaurent, UndefinedDegreeError)
 from .plethysm2 import psi2_closed
 from .schur3 import psi_oracle
-from .sl3rep import (Weight, WeightLike, _as_dominant, qdim_closed, qint,
-                     twist_monomial)
+from .sl3rep import (SignedWeightSum, Weight, WeightLike, _as_dominant,
+                     twist_exponent)
 
 __all__ = [
     "TorusKnotSpec",
@@ -81,8 +83,7 @@ class ColoredJonesResult:
             "knot": {"a": self.knot.a, "b": self.knot.b},
             "color": [self.color.m1, self.color.m2],
             "variable": self.variable,
-            "scale": self.value.scale,
-            "terms": [[e, str(c)] for e, c in self.value.items()],
+            **self.value.to_json_dict(),
         }
 
 
@@ -112,77 +113,74 @@ class DegreeReport:
         }
 
 
-def _monomial_exponent(m: ScaledLaurent) -> int:
-    ((e, _),) = m.items()
-    return e
+def _div_stride(dense: list[int], stride: int) -> None:
+    """Divide dense coefficients in x, in place, by x^stride - 1."""
+    for r in range(stride):
+        dense[r::stride] = [-v for v in accumulate(dense[r::stride])]
+    if any(dense[-stride:]):
+        raise InexactDivisionError(f"nonzero remainder modulo x^{stride} - 1")
+    del dense[-stride:]
 
 
-# q^(1/2) - q^(-1/2) on the 1/6 lattice; dividing a cleared-denominator
-# sum by this three times and by [2] once recovers the honest sum of
-# quantum dimensions times twist powers.
-_HALF_DIFF = ScaledLaurent(6, {3: 1, -3: -1})
+def _rosso_jones(expansion: SignedWeightSum, a: int, b: int,
+                 color: Weight) -> ScaledLaurent:
+    """The Rosso-Jones sum over expansion, reduced to scale 1."""
+    scale, h = 6 * a, 3 * a
+    acc: dict[int, int] = {}
+    for (n1, n2), c in expansion.items():
+        t = 2 * b * twist_exponent((n1, n2))
+        ea, eb, ec = h * (n1 + 1), h * (n2 + 1), h * (n1 + n2 + 2)
+        for pa, sa in ((t + ea, c), (t - ea, -c)):
+            for pb, sb in ((pa + eb, sa), (pa - eb, -sa)):
+                for k, s in ((pb + ec, sb), (pb - ec, -sb)):
+                    acc[k] = acc.get(k, 0) + s
+    acc = {e: c for e, c in acc.items() if c}
+    m1, m2 = color
+    ns = (m1 + 1, m2 + 1, m1 + m2 + 2)
+    lo = min(acc)
+    step = gcd(*(e - lo for e in acc), *(scale * n for n in ns))
+    dense = [0] * ((max(acc) - lo) // step + 1)
+    for e, c in acc.items():
+        dense[(e - lo) // step] = c
+    for n in ns:
+        _div_stride(dense, scale * n // step)
+    # The divisors are polynomials in q, so every class of exponents mod
+    # the integer lattice that the sum occupies stays occupied: the result
+    # is integral exactly when step and base are.
+    base = lo + h * sum(ns) - 2 * a * a * b * twist_exponent(color)
+    if step % scale or base % scale:
+        raise NonIntegralExponentError(
+            f"T({a},{b}) at color {tuple(color)} has fractional exponents")
+    base, step = base // scale, step // scale
+    return ScaledLaurent(1, {base + i * step: c
+                             for i, c in enumerate(dense) if c})
 
 
 def jones_t2b(b: int, color: WeightLike) -> ColoredJonesResult:
     """Exact colored invariant of T(2, b) for odd b >= 1.
 
-    Every expansion weight mu contributes qdim(mu) * theta(mu)^(b/2); the
-    product of the three quantum-integer numerators is expanded into its
-    eight signed monomials so the whole sum is assembled by dict adds,
-    and the shared denominators are divided out exactly afterwards.  The
-    final division by qdim(color) must be exact and the result must
-    reduce to integer exponents; both are asserted by construction.
+    Evaluates the Rosso-Jones sum over the closed second-plethysm
+    expansion psi2_closed(color).  Every division is checked exact and
+    the result must reduce to integer exponents.
     """
     if not isinstance(b, int) or b < 1 or b % 2 == 0:
         raise ValueError(f"T(2,b) needs a positive odd b, got {b!r}")
     w = _as_dominant(color)
-    acc: dict[int, int] = {}
-    for (n1, n2), c in psi2_closed(w).items():
-        t = _monomial_exponent(twist_monomial((n1, n2), b, 2))
-        ea, eb, ec = 3 * (n1 + 1), 3 * (n2 + 1), 3 * (n1 + n2 + 2)
-        for pa, sa in ((ea, c), (-ea, -c)):
-            for pb, sb in ((pa + eb, sa), (pa - eb, -sa)):
-                for e, s in ((pb + ec, sb), (pb - ec, -sb)):
-                    k = t + e
-                    v = acc.get(k, 0) + s
-                    if v:
-                        acc[k] = v
-                    elif k in acc:
-                        del acc[k]
-    num = ScaledLaurent(6, acc)
-    for factor in (_HALF_DIFF, _HALF_DIFF, _HALF_DIFF, qint(2)):
-        num = num.div_exact(factor)
-    shifted = num * twist_monomial(w, -2 * b, 1)
-    value = shifted.div_exact(qdim_closed(w)).as_integer_laurent()
+    value = _rosso_jones(psi2_closed(w), 2, b, w)
     return ColoredJonesResult(value, TorusKnotSpec(2, b), w, "q")
 
 
 def jones_rosso(knot: TorusKnotSpec, color: WeightLike) -> ColoredJonesResult:
     """Exact colored invariant of T(a, b) via the degree-a Adams plethysm.
 
-    Sums multiplicity * qdim(mu) * theta(mu)^(b/a) over the psi_oracle
-    expansion on the 1/(6a) lattice, then applies theta(color)^(-a*b) and
-    divides by qdim(color).  Intended for desk-scale parameters; only
-    odd-b outputs are cross-validated against the T(2,b) closed form.
+    The same Rosso-Jones sum as jones_t2b, over the psi_oracle expansion
+    on the 1/(6a) lattice.  Intended for desk-scale parameters, since
+    the oracle expansion is the slow part.
     """
     if not isinstance(knot, TorusKnotSpec):
         knot = TorusKnotSpec(*knot)
     w = _as_dominant(color)
-    a, b = knot.a, knot.b
-    scale = 6 * a
-    total: dict[int, int] = {}
-    for mu, c in psi_oracle(w, a).items():
-        shift = _monomial_exponent(twist_monomial(mu, b, a, scale=scale))
-        for e, dc in qdim_closed(mu).rescale(scale).items():
-            k = e + shift
-            v = total.get(k, 0) + c * dc
-            if v:
-                total[k] = v
-            elif k in total:
-                del total[k]
-    num = ScaledLaurent(scale, total)
-    shifted = num * twist_monomial(w, -a * b, 1, scale=scale)
-    value = shifted.div_exact(qdim_closed(w).rescale(scale)).as_integer_laurent()
+    value = _rosso_jones(psi_oracle(w, knot.a), knot.a, knot.b, w)
     return ColoredJonesResult(value, knot, w, "q")
 
 

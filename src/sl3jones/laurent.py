@@ -300,11 +300,14 @@ class ScaledLaurent:
             return "0"
         parts: list[str] = []
         for e, c in self.items():
-            frac = Fraction(e, self.scale)
-            if frac.denominator == 1:
-                es = str(frac.numerator)
+            if self.scale == 1:
+                es = str(e)
             else:
-                es = f"({frac.numerator}/{frac.denominator})"
+                frac = Fraction(e, self.scale)
+                if frac.denominator == 1:
+                    es = str(frac.numerator)
+                else:
+                    es = f"({frac.numerator}/{frac.denominator})"
             term = f"{abs(c)}*q^{es}"
             if not parts:
                 parts.append(term if c > 0 else f"-{term}")

@@ -27,6 +27,7 @@ __all__ = [
     "dimension",
     "qdim_closed",
     "qdim_weyl",
+    "twist_exponent",
     "twist_monomial",
     "twist_weyl_check",
 ]
@@ -130,11 +131,13 @@ def qdim_weyl(w: WeightLike, scale: int = 6) -> ScaledLaurent:
     return num.div_exact(den)
 
 
-def _twist_exponent_data(w: WeightLike) -> tuple[int, int]:
+def twist_exponent(w: WeightLike) -> int:
+    """Three times the exponent of the twist: theta_w = q^(t/3).
+
+    t = m1^2 + m1*m2 + m2^2 + 3*(m1 + m2), a plain integer.
+    """
     m1, m2 = _as_dominant(w)
-    quad = m1 * m1 + m1 * m2 + m2 * m2
-    lin = m1 + m2
-    return quad, lin
+    return m1 * m1 + m1 * m2 + m2 * m2 + 3 * (m1 + m2)
 
 
 def twist_monomial(w: WeightLike, num: int, den: int = 1,
@@ -148,8 +151,7 @@ def twist_monomial(w: WeightLike, num: int, den: int = 1,
     """
     if not isinstance(num, int) or not isinstance(den, int) or den < 1:
         raise ValueError(f"twist power {num!r}/{den!r} is not a valid fraction")
-    quad, lin = _twist_exponent_data(w)
-    e_num = scale * num * (quad + 3 * lin)
+    e_num = scale * num * twist_exponent(w)
     q, r = divmod(e_num, 3 * den)
     if r:
         raise ScaleError(
@@ -162,12 +164,12 @@ def twist_weyl_check(w: WeightLike) -> bool:
     """Check the twist exponent against (1/2)(w, w + 2*rho).
 
     Both sides are exact rationals; returns True when the closed-form
-    exponent (quad/3 + lin) agrees with the pairing form.
+    exponent twist_exponent(w)/3 agrees with the pairing form.
     """
     wt = _as_dominant(w)
-    quad, lin = _twist_exponent_data(wt)
     shifted = (wt.m1 + 2 * ROOT_DATA.rho[0], wt.m2 + 2 * ROOT_DATA.rho[1])
-    return Fraction(1, 2) * pairing(tuple(wt), shifted) == Fraction(quad, 3) + lin
+    return (Fraction(1, 2) * pairing(tuple(wt), shifted)
+            == Fraction(twist_exponent(wt), 3))
 
 
 class SignedWeightSum:

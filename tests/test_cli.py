@@ -139,6 +139,23 @@ def test_limit_bounds_parameters(capsys):
     assert code == 0
 
 
+def test_usage_error_twist_off_lattice(capsys):
+    code, out, err = run(capsys, "twist", "--m1", "1", "--m2", "0",
+                         "--den", "7")
+    assert code == 2
+    assert out == ""
+    assert "usage error" in err
+
+
+def test_usage_error_out_missing_directory(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run(capsys, "jones", "--b", "3", "--m1", "1", "--m2",
+                         "0", "--out", str(target))
+    assert code == 2
+    assert "usage error" in err and "--out" in err
+    assert not target.exists()
+
+
 def test_argparse_exit_on_unknown_command():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
@@ -194,6 +211,16 @@ def test_table_parallel_matches_serial(tmp_path, capsys):
                      "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     assert b"\r" not in a.read_bytes()
+
+
+def test_worker_count_caps_jobs(monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    assert cli._worker_count(1, 441) == 1
+    assert cli._worker_count(2, 441) == 2
+    assert cli._worker_count(64, 441) == 4
+    assert cli._worker_count(64, 3) == 3
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._worker_count(64, 441) == 1
 
 
 def test_table_var_changes_signs(capsys):
@@ -272,6 +299,17 @@ def test_cache_key_mismatch_recomputes(tmp_path, capsys):
     assert code == 0
     assert second == first
     assert "corrupt" in err
+
+
+def test_cache_store_failure_warns(tmp_path, capsys):
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    code, out, err = run(capsys, "jones", "--b", "3", "--m1", "1", "--m2",
+                         "0", "--cache", str(blocker))
+    assert code == 0
+    assert out == "-1*q^-6 + 1*q^-4 + 1*q^-2\n"
+    assert "warning" in err
+    assert blocker.read_text() == ""
 
 
 def test_out_file(tmp_path, capsys):

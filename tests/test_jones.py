@@ -1,26 +1,42 @@
 """Colored invariants of T(2,b): closed form, plethysm route, reports."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from sl3jones.jones import (ColoredJonesResult, TorusKnotSpec, degree_report,
-                            jones_rosso, jones_t2b)
-from sl3jones.laurent import ScaledLaurent, UndefinedDegreeError
+from sl3jones.jones import (ColoredJonesResult, TorusKnotSpec, _div_stride,
+                            _rosso_jones, degree_report, jones_rosso,
+                            jones_t2b)
+from sl3jones.laurent import (InexactDivisionError, NonIntegralExponentError,
+                              ScaledLaurent, UndefinedDegreeError)
 from sl3jones.plethysm2 import psi2_closed
-from sl3jones.sl3rep import qdim_closed, twist_monomial
+from sl3jones.schur3 import psi_oracle
+from sl3jones.sl3rep import (SignedWeightSum, Weight, qdim_closed,
+                             twist_monomial)
+
+
+def literal_sum(expansion, a, b, w):
+    """Direct assembly of the Rosso-Jones sum, one quantum dimension at a time.
+
+    Slow reference: multiplies qdim(mu) by the twist power per term on the
+    1/(6a) lattice, applies the color's twist and divides by qdim(w) with
+    the general long division, sharing no code with the stride division.
+    """
+    scale = 6 * a
+    total = ScaledLaurent.zero(scale)
+    for mu, c in expansion.items():
+        term = qdim_closed(mu, scale) * twist_monomial(mu, b, a, scale)
+        total = total + term.scalar_mul(c)
+    shifted = total * twist_monomial(w, -a * b, 1, scale)
+    return shifted.div_exact(qdim_closed(w, scale)).as_integer_laurent()
 
 
 def literal_t2b(b, w):
-    """Direct assembly of the T(2,b) sum, one quantum dimension at a time.
+    return literal_sum(psi2_closed(w), 2, b, w)
 
-    Slow reference: multiplies qdim(mu) by the half twist power per term
-    instead of clearing denominators, then applies the same prefactor
-    and final division as the production route.
-    """
-    total = ScaledLaurent.zero()
-    for mu, c in psi2_closed(w).items():
-        total = total + (qdim_closed(mu) * twist_monomial(mu, b, 2)).scalar_mul(c)
-    shifted = total * twist_monomial(w, -2 * b, 1)
-    return shifted.div_exact(qdim_closed(w)).as_integer_laurent()
+
+def literal_rosso(knot, w):
+    return literal_sum(psi_oracle(w, knot.a), knot.a, knot.b, w)
 
 
 # -- knot parameter validation -------------------------------------------
@@ -92,11 +108,68 @@ def test_color_swap_symmetry():
 
 
 def test_matches_literal_assembly():
-    for b in (1, 3, 5):
-        for m1 in range(4):
-            for m2 in range(4):
+    for b in (1, 3, 5, 7):
+        for m1 in range(9):
+            for m2 in range(9):
                 assert jones_t2b(b, (m1, m2)).value == \
                     literal_t2b(b, (m1, m2)), (b, m1, m2)
+    for w in ((20, 20), (30, 11)):
+        assert jones_t2b(3, w).value == literal_t2b(3, w), w
+
+
+def test_rosso_matches_literal_assembly():
+    for a, b in ((3, 4), (3, 5), (4, 5)):
+        knot = TorusKnotSpec(a, b)
+        for m1 in range(7):
+            for m2 in range(7 - m1):
+                assert jones_rosso(knot, (m1, m2)).value == \
+                    literal_rosso(knot, (m1, m2)), (a, b, m1, m2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 12), st.integers(0, 12), st.integers(0, 25))
+def test_extra_trivial_summand_is_inexact(m1, m2, half_b):
+    # adding V_{0,0} adds theta(w)^(-2b) / qdim(w), which is no Laurent
+    # polynomial for w != (0, 0): the evaluator must refuse, not round
+    w = Weight(m1, m2)
+    assume(w != (0, 0))
+    bad = SignedWeightSum(list(psi2_closed(w).items()) + [((0, 0), 1)])
+    with pytest.raises(InexactDivisionError):
+        _rosso_jones(bad, 2, 2 * half_b + 1, w)
+
+
+def test_extra_trivial_summand_is_inexact_for_oracle():
+    for w in (Weight(1, 0), Weight(2, 1), Weight(3, 3)):
+        bad = SignedWeightSum(list(psi_oracle(w, 3).items()) + [((0, 0), 1)])
+        with pytest.raises(InexactDivisionError):
+            _rosso_jones(bad, 3, 4, w)
+
+
+def test_fractional_exponents_raise():
+    # theta(1,0)^(1/5 - 5) = q^(-32/5): exact, but off the integer lattice
+    single = SignedWeightSum({(1, 0): 1})
+    with pytest.raises(NonIntegralExponentError):
+        _rosso_jones(single, 5, 1, Weight(1, 0))
+    assert _rosso_jones(single, 4, 1, Weight(1, 0)) == \
+        ScaledLaurent(1, {-5: 1})
+
+
+@settings(max_examples=120)
+@given(st.lists(st.integers(-10**12, 10**12), min_size=1, max_size=40),
+       st.integers(1, 12), st.data())
+def test_div_stride_round_trip(quotient, stride, data):
+    product = [0] * (len(quotient) + stride)
+    for i, c in enumerate(quotient):
+        product[i] -= c
+        product[i + stride] += c
+    got = list(product)
+    _div_stride(got, stride)
+    assert got == quotient
+    # x^k is never a multiple of x^stride - 1, so a bumped coefficient
+    # must leave a remainder
+    product[data.draw(st.integers(0, len(product) - 1))] += 1
+    with pytest.raises(InexactDivisionError):
+        _div_stride(product, stride)
 
 
 def test_matches_plethysm_route():

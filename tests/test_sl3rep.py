@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from sl3jones.laurent import ScaledLaurent, ScaleError
 from sl3jones.sl3rep import (ROOT_DATA, SignedWeightSum, Weight, dimension,
                              pairing, qdim_closed, qdim_weyl, qint,
-                             twist_monomial, twist_weyl_check)
+                             twist_exponent, twist_monomial, twist_weyl_check)
 
 weights = st.tuples(st.integers(min_value=0, max_value=12),
                     st.integers(min_value=0, max_value=12))
@@ -124,6 +124,7 @@ def test_twist_examples():
     assert twist_monomial((1, 1), 1) == ScaledLaurent(6, {18: 1})
     assert twist_monomial((1, 1), -6) == ScaledLaurent(6, {-108: 1})
     assert twist_monomial((0, 0), -6) == ScaledLaurent.one()
+    assert (twist_exponent((1, 0)), twist_exponent((1, 1))) == (4, 9)
 
 
 def test_twist_halves_and_denominators():
