@@ -15,9 +15,8 @@ from .laurent import (InexactDivisionError, LaurentError,
                       NonIntegralExponentError, ScaledLaurent, ScaleError,
                       ScaleMismatchError, UndefinedDegreeError)
 from .plethysm2 import psi2_closed, psi2_schur_form, signed_dimension
-from .schur3 import (NotSymmetricError, adams, decompose_schur,
-                     generic_row_at_m2_one, is_symmetric, mul_sym, psi_oracle,
-                     schur, straighten, verify_lemma_LR,
+from .schur3 import (NotSymmetricError, adams, decompose_schur, is_symmetric,
+                     mul_sym, psi_oracle, schur, straighten, verify_lemma_LR,
                      verify_lemma_psi2_recurrence)
 from .sl3rep import (ROOT_DATA, RootDataSl3, SignedWeightSum, Weight,
                      dimension, pairing, qdim_closed, qdim_weyl, qint,
@@ -56,7 +55,6 @@ __all__ = [
     "psi_oracle",
     "verify_lemma_LR",
     "verify_lemma_psi2_recurrence",
-    "generic_row_at_m2_one",
     # plethysm2
     "psi2_closed",
     "psi2_schur_form",

@@ -22,8 +22,7 @@ from . import __version__
 from .jones import TorusKnotSpec, degree_report, jones_rosso, jones_t2b
 from .laurent import LaurentError, ScaleError
 from .plethysm2 import psi2_closed, psi2_schur_form, signed_dimension
-from .schur3 import (generic_row_at_m2_one, psi_oracle, verify_lemma_LR,
-                     verify_lemma_psi2_recurrence)
+from .schur3 import psi_oracle, verify_lemma_LR, verify_lemma_psi2_recurrence
 from .sl3rep import qdim_closed, qdim_weyl, twist_monomial, twist_weyl_check
 
 __all__ = ["main"]
@@ -144,12 +143,8 @@ def _degrees_text(a, b, m1, m2, var, fmt) -> str:
     rep = degree_report(_compute_result(a, b, m1, m2, var))
     if fmt == "json":
         return json.dumps(rep.to_json_dict(), separators=(",", ":"))
-    d = rep.to_json_dict()
     lines = []
-    for name in ("min_deg", "max_deg", "min_coeff", "max_coeff",
-                 "min_coeff_exponents", "max_coeff_exponents",
-                 "leading", "trailing"):
-        v = d[name]
+    for name, v in rep.to_json_dict().items():
         if isinstance(v, list):
             lines.append(f"{name} {','.join(str(x) for x in v)}")
         else:
@@ -326,10 +321,6 @@ def _cmd_selfcheck(args) -> int:
             continue
         print(("PASS" if ok else "FAIL") + f" {name}")
         failures += 0 if ok else 1
-    # empirical note, recorded but never asserted: the generic two-box
-    # product row evaluated at m2 = 1 agrees with the dedicated row
-    probe = all(generic_row_at_m2_one(m1) for m1 in range(2, args.max + 2))
-    print(f"note: generic product row at m2=1 agrees on range: {probe}")
     return 3 if failures else 0
 
 

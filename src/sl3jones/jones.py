@@ -19,7 +19,7 @@ travels with the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import accumulate
 from math import gcd
 
@@ -101,16 +101,9 @@ class DegreeReport:
     trailing: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "min_deg": self.min_deg,
-            "max_deg": self.max_deg,
-            "min_coeff": self.min_coeff,
-            "max_coeff": self.max_coeff,
-            "min_coeff_exponents": list(self.min_coeff_exponents),
-            "max_coeff_exponents": list(self.max_coeff_exponents),
-            "leading": self.leading,
-            "trailing": self.trailing,
-        }
+        """The fields in declaration order, tuples as lists."""
+        return {k: list(v) if isinstance(v, tuple) else v
+                for k, v in asdict(self).items()}
 
 
 def _div_stride(dense: list[int], stride: int) -> None:
@@ -174,8 +167,9 @@ def jones_rosso(knot: TorusKnotSpec, color: WeightLike) -> ColoredJonesResult:
     """Exact colored invariant of T(a, b) via the degree-a Adams plethysm.
 
     The same Rosso-Jones sum as jones_t2b, over the psi_oracle expansion
-    on the 1/(6a) lattice.  Intended for desk-scale parameters, since
-    the oracle expansion is the slow part.
+    on the 1/(6a) lattice.  The oracle expands the Adams image of the
+    Gelfand-Tsetlin weights of V_w by straightening, so its cost grows
+    with dim(V_w); for a = 2 the result equals jones_t2b.
     """
     if not isinstance(knot, TorusKnotSpec):
         knot = TorusKnotSpec(*knot)

@@ -67,12 +67,9 @@ class ScaledLaurent:
         for e, c in pairs:
             if not isinstance(e, int) or not isinstance(c, int):
                 raise TypeError(f"term ({e!r}, {c!r}) is not an int pair")
-            if c:
-                v = clean.get(e, 0) + c
-                if v:
-                    clean[e] = v
-                elif e in clean:
-                    del clean[e]
+            clean[e] = clean.get(e, 0) + c
+        if 0 in clean.values():  # a scan is cheaper than always copying
+            clean = {e: c for e, c in clean.items() if c}
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "_terms", clean)
 
@@ -140,11 +137,7 @@ class ScaledLaurent:
         self._check_scale(other)
         out = dict(self._terms)
         for e, c in other._terms.items():
-            v = out.get(e, 0) + c
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
+            out[e] = out.get(e, 0) + c
         return ScaledLaurent(self.scale, out)
 
     def __neg__(self) -> "ScaledLaurent":
@@ -175,11 +168,7 @@ class ScaledLaurent:
         for e1, c1 in a.items():
             for e2, c2 in b.items():
                 k = e1 + e2
-                v = out.get(k, 0) + c1 * c2
-                if v:
-                    out[k] = v
-                elif k in out:
-                    del out[k]
+                out[k] = out.get(k, 0) + c1 * c2
         return ScaledLaurent(self.scale, out)
 
     def __rmul__(self, other) -> "ScaledLaurent":

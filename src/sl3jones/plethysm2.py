@@ -37,11 +37,7 @@ def psi2_closed(w: WeightLike) -> SignedWeightSum:
             raise ArithmeticError(
                 f"non-dominant summand ({a}, {b}) in the plethysm sums")
         key = (a, b)
-        v = acc.get(key, 0) + sign
-        if v:
-            acc[key] = v
-        elif key in acc:
-            del acc[key]
+        acc[key] = acc.get(key, 0) + sign
 
     for l in range(min(m1, m2) + 1):
         for k in range(m1 - l + 1):
@@ -69,11 +65,7 @@ def psi2_schur_form(m1: int, m2: int) -> SignedWeightSum:
             raise ArithmeticError(
                 f"invalid partition summand ({a}, {b}) in the Schur-form sums")
         key = (a - b, b)
-        v = acc.get(key, 0) + sign
-        if v:
-            acc[key] = v
-        elif key in acc:
-            del acc[key]
+        acc[key] = acc.get(key, 0) + sign
 
     for l in range(min(m1 - m2, m2) + 1):
         for k in range(m1 - m2 - l + 1):

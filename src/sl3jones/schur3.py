@@ -1,13 +1,17 @@
 """Symmetric polynomials in three variables and a plethysm oracle.
 
 Polynomials are sparse dicts mapping exponent triples (e1, e2, e3) to
-integer coefficients.  Schur polynomials come from the bialternant ratio
-det(x_i^(l_j + 3 - j)) / det(x_i^(3 - j)), computed by exact synthetic
-division, so disordered or negative-adjacent indices straighten
-automatically (possibly to zero).  The plethysm oracle applies an Adams
-operation x_i -> x_i^a to a character and decomposes the result back
-into the Schur basis; it is the independent cross-check for the closed
-second-plethysm formula in the plethysm2 module.
+integer coefficients.  A Schur index straightens to a signed partition
+(or to zero) by adding the staircase delta = (2, 1, 0), sorting with the
+permutation's sign and subtracting delta again; the Schur polynomial of
+a partition is the sum of x^weight over its Gelfand-Tsetlin patterns.
+Decomposition into the Schur basis is one pass of the Brauer-Klimyk
+rule: for symmetric f, f * a_delta = sum_m f_m a_(m+delta), so each
+monomial x^m contributes f_m times the straightened index m.  The
+plethysm oracle applies an Adams operation x_i -> x_i^a to a character
+and decomposes the result back into the Schur basis; it is the
+independent cross-check for the closed second-plethysm formula in the
+plethysm2 module.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import functools
 from itertools import permutations
 from typing import Dict, Tuple
 
-from .sl3rep import SignedWeightSum, Weight, WeightLike, _as_dominant
+from .sl3rep import SignedWeightSum, WeightLike, _as_dominant
 
 __all__ = [
     "SymPoly3",
@@ -35,7 +39,6 @@ __all__ = [
     "psi_oracle",
     "verify_lemma_LR",
     "verify_lemma_psi2_recurrence",
-    "generic_row_at_m2_one",
 ]
 
 SymPoly3 = Dict[Tuple[int, int, int], int]
@@ -59,12 +62,8 @@ def p_one() -> SymPoly3:
 def p_add(f: SymPoly3, g: SymPoly3) -> SymPoly3:
     out = dict(f)
     for mono, c in g.items():
-        v = out.get(mono, 0) + c
-        if v:
-            out[mono] = v
-        elif mono in out:
-            del out[mono]
-    return out
+        out[mono] = out.get(mono, 0) + c
+    return {m: c for m, c in out.items() if c}
 
 
 def p_sub(f: SymPoly3, g: SymPoly3) -> SymPoly3:
@@ -79,12 +78,8 @@ def mul_sym(f: SymPoly3, g: SymPoly3) -> SymPoly3:
     for (a1, a2, a3), c1 in f.items():
         for (b1, b2, b3), c2 in g.items():
             key = (a1 + b1, a2 + b2, a3 + b3)
-            v = out.get(key, 0) + c1 * c2
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
-    return out
+            out[key] = out.get(key, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
 
 
 def adams(f: SymPoly3, a: int) -> SymPoly3:
@@ -120,74 +115,32 @@ def straighten(lam: GLIndex) -> tuple[int, GLIndex] | None:
     return (-1 if inv % 2 else 1, part)
 
 
-def _div_linear(f: SymPoly3, i: int, j: int) -> SymPoly3:
-    """Exact division by (x_i - x_j) via synthetic division in x_i."""
-    cof: dict[int, SymPoly3] = {}
-    for mono, c in f.items():
-        d = mono[i]
-        key = list(mono)
-        key[i] = 0
-        cof.setdefault(d, {})[tuple(key)] = c
-    if not cof:
-        return {}
-    out: SymPoly3 = {}
-    carry: SymPoly3 = {}
-    for k in range(max(cof), 0, -1):
-        nxt = dict(cof.get(k, {}))
-        for mono, c in carry.items():
-            key = list(mono)
-            key[j] += 1
-            key = tuple(key)
-            v = nxt.get(key, 0) + c
-            if v:
-                nxt[key] = v
-            elif key in nxt:
-                del nxt[key]
-        for mono, c in nxt.items():
-            key = list(mono)
-            key[i] = k - 1
-            out[tuple(key)] = c
-        carry = nxt
-    rem = dict(cof.get(0, {}))
-    for mono, c in carry.items():
-        key = list(mono)
-        key[j] += 1
-        key = tuple(key)
-        v = rem.get(key, 0) + c
-        if v:
-            rem[key] = v
-        elif key in rem:
-            del rem[key]
-    if rem:
-        raise ArithmeticError("alternant not divisible by Vandermonde factor")
-    return out
-
-
 @functools.lru_cache(maxsize=4096)
 def _schur_cached(lam: GLIndex) -> tuple[tuple[GLIndex, int], ...]:
-    shifted = tuple(lam[i] + _DELTA[i] for i in range(3))
-    if min(shifted) < 0:
+    if min(lam[i] + _DELTA[i] for i in range(3)) < 0:
         raise ValueError(f"Schur index {lam} has negative shifted exponents")
-    if len(set(shifted)) < 3:
+    st = straighten(lam)
+    if st is None:
         return ()
-    alternant: SymPoly3 = {}
-    for perm in permutations((0, 1, 2)):
-        inv = sum(1 for i in range(3) for j in range(i + 1, 3)
-                  if perm[i] > perm[j])
-        mono = (shifted[perm[0]], shifted[perm[1]], shifted[perm[2]])
-        alternant[mono] = -1 if inv % 2 else 1
-    quot = _div_linear(alternant, 0, 1)
-    quot = _div_linear(quot, 0, 2)
-    quot = _div_linear(quot, 1, 2)
-    return tuple(sorted(quot.items()))
+    sign, (l1, l2, l3) = st
+    # Gelfand-Tsetlin patterns: l1 >= k1 >= l2 >= k2 >= l3, k1 >= k >= k2;
+    # the weight is (k, k1 + k2 - k, |l| - k1 - k2)
+    out: SymPoly3 = {}
+    for k1 in range(l2, l1 + 1):
+        for k2 in range(l3, l2 + 1):
+            for k in range(k2, k1 + 1):
+                mono = (k, k1 + k2 - k, l1 + l2 + l3 - k1 - k2)
+                out[mono] = out.get(mono, 0) + sign
+    return tuple(sorted(out.items()))
 
 
 def schur(lam: GLIndex) -> SymPoly3:
     """Schur polynomial s_lam(x1, x2, x3) for a length-3 integer index.
 
-    The index need not be a partition: it straightens by the alternant's
-    antisymmetry, and indices with a repeated shifted exponent give the
-    zero polynomial.  Shifted exponents must be nonnegative.
+    The index need not be a partition: it straightens to sign * s_part,
+    and indices with a repeated shifted exponent give the zero
+    polynomial.  Shifted exponents must be nonnegative.  The polynomial
+    of a partition sums x^weight over its Gelfand-Tsetlin patterns.
     """
     lam = tuple(lam)
     if len(lam) != 3 or not all(isinstance(e, int) for e in lam):
@@ -198,35 +151,21 @@ def schur(lam: GLIndex) -> SymPoly3:
 def decompose_schur(f: SymPoly3) -> dict[GLIndex, int]:
     """Expand a symmetric polynomial in the Schur basis.
 
-    Greedy subtraction: repeatedly take the lexicographically largest
-    surviving monomial, which for a symmetric polynomial is a partition
-    and the leading monomial of its Schur polynomial, and strip that
-    term.  Raises NotSymmetricError for non-symmetric input and
-    ArithmeticError if the leading monomial fails to decrease.
+    One pass of the Brauer-Klimyk rule: f * a_delta is the sum of
+    f_m * a_(m+delta) over the monomials x^m of f, so each monomial adds
+    f_m times the sign of straighten(m) at its partition, or nothing when
+    it straightens to zero.  Raises NotSymmetricError for non-symmetric
+    input, for which the rule does not hold.
     """
     if not is_symmetric(f):
         raise NotSymmetricError("input is not a symmetric polynomial")
-    residual = dict(f)
     out: dict[GLIndex, int] = {}
-    prev: tuple[int, int, int] | None = None
-    while residual:
-        lead = max(residual)
-        if not (lead[0] >= lead[1] >= lead[2] >= 0):
-            raise ArithmeticError(
-                f"leading monomial {lead} of a symmetric polynomial is not "
-                f"a partition")
-        if prev is not None and lead >= prev:
-            raise ArithmeticError("Schur decomposition failed to progress")
-        prev = lead
-        c = residual[lead]
-        out[lead] = c
-        for mono, sc in _schur_cached(lead):
-            v = residual.get(mono, 0) - c * sc
-            if v:
-                residual[mono] = v
-            elif mono in residual:
-                del residual[mono]
-    return out
+    for mono, c in f.items():
+        st = straighten(mono)
+        if st is not None:
+            sign, part = st
+            out[part] = out.get(part, 0) + sign * c
+    return {p: c for p, c in out.items() if c}
 
 
 def _reduce_two_row(expansion: dict[GLIndex, int]) -> dict[tuple[int, int], int]:
@@ -238,12 +177,8 @@ def _reduce_two_row(expansion: dict[GLIndex, int]) -> dict[tuple[int, int], int]
     out: dict[tuple[int, int], int] = {}
     for (a, b, c), mult in expansion.items():
         key = (a - c, b - c)
-        v = out.get(key, 0) + mult
-        if v:
-            out[key] = v
-        elif key in out:
-            del out[key]
-    return out
+        out[key] = out.get(key, 0) + mult
+    return {k: c for k, c in out.items() if c}
 
 
 def _two_row_sum(terms) -> dict[tuple[int, int], int]:
@@ -259,12 +194,8 @@ def _two_row_sum(terms) -> dict[tuple[int, int], int]:
             continue
         sign, part = st
         key = (part[0] - part[2], part[1] - part[2])
-        v = out.get(key, 0) + coeff * sign
-        if v:
-            out[key] = v
-        elif key in out:
-            del out[key]
-    return out
+        out[key] = out.get(key, 0) + coeff * sign
+    return {k: c for k, c in out.items() if c}
 
 
 def _product_reduced(f: SymPoly3, g: SymPoly3) -> dict[tuple[int, int], int]:
@@ -349,38 +280,8 @@ def verify_lemma_psi2_recurrence(m1: int, m2: int) -> bool:
     rhs = _reduce_two_row(decompose_schur(prod))
     for sub in (_psi2_reduced(m1 + 1, m2), _psi2_reduced(m1 - 1, m2 - 1)):
         for key, c in sub.items():
-            v = rhs.get(key, 0) - c
-            if v:
-                rhs[key] = v
-            elif key in rhs:
-                del rhs[key]
-    return lhs == rhs
-
-
-def generic_row_at_m2_one(m1: int) -> bool:
-    """Empirical probe: the generic case rows evaluated at m2 = 1.
-
-    The generic rows are stated for m1 - m2 >= 1 and m2 >= 2.  This
-    evaluates them at m2 = 1, letting out-of-range labels straighten
-    (the (m1 - 2, -1) term dies and (m1, 0) is the one-row label), and
-    reports whether they still reproduce the products.  The selfcheck
-    records the outcome as an observation; nothing asserts it.
-    """
-    if not (isinstance(m1, int) and m1 >= 2):
-        raise ValueError("probe needs m1 >= 2 so m1 - m2 >= 1 at m2 = 1")
-    m2 = 1
-    s = schur((m1, m2, 0))
-    s2 = schur((2, 0, 0))
-    s11 = schur((1, 1, 0))
-    gen = (
-        [(1, m1 + 2, m2), (1, m1 + 1, m2 + 1), (1, m1, m2 - 1),
-         (1, m1, m2 + 2), (1, m1 - 1, m2), (1, m1 - 2, m2 - 2)],
-        [(1, m1 + 1, m2 + 1), (1, m1, m2 - 1), (1, m1 - 1, m2)],
-        [(1, m1 + 2, m2), (1, m1, m2 + 2), (1, m1 - 2, m2 - 2)],
-    )
-    return (_product_reduced(s, s2) == _two_row_sum(gen[0])
-            and _product_reduced(s, s11) == _two_row_sum(gen[1])
-            and _product_reduced(s, p_sub(s2, s11)) == _two_row_sum(gen[2]))
+            rhs[key] = rhs.get(key, 0) - c
+    return lhs == {k: c for k, c in rhs.items() if c}
 
 
 def psi_oracle(w: WeightLike, a: int) -> SignedWeightSum:
@@ -395,12 +296,7 @@ def psi_oracle(w: WeightLike, a: int) -> SignedWeightSum:
         raise ValueError(f"Adams degree must be a positive integer, got {a!r}")
     ch = schur((wt.m1 + wt.m2, wt.m2, 0))
     expansion = decompose_schur(adams(ch, a))
-    acc: dict[Weight, int] = {}
-    for (l1, l2, l3), c in expansion.items():
-        key = Weight(l1 - l2, l2 - l3)
-        v = acc.get(key, 0) + c
-        if v:
-            acc[key] = v
-        elif key in acc:
-            del acc[key]
-    return SignedWeightSum(acc)
+    # partitions one full column apart give the same weight; the
+    # constructor adds their multiplicities
+    return SignedWeightSum([((l1 - l2, l2 - l3), c)
+                            for (l1, l2, l3), c in expansion.items()])

@@ -188,12 +188,9 @@ class SignedWeightSum:
             wt = _as_dominant(w)
             if not isinstance(c, int):
                 raise TypeError(f"multiplicity {c!r} is not an int")
-            if c:
-                v = clean.get(wt, 0) + c
-                if v:
-                    clean[wt] = v
-                elif wt in clean:
-                    del clean[wt]
+            clean[wt] = clean.get(wt, 0) + c
+        if 0 in clean.values():  # a scan is cheaper than always copying
+            clean = {w: c for w, c in clean.items() if c}
         object.__setattr__(self, "_terms", clean)
 
     def __setattr__(self, name, value):

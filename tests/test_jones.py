@@ -173,12 +173,12 @@ def test_div_stride_round_trip(quotient, stride, data):
 
 
 def test_matches_plethysm_route():
-    for b in (1, 3, 5):
-        for m1 in range(3):
-            for m2 in range(3):
-                r1 = jones_t2b(b, (m1, m2))
-                r2 = jones_rosso(TorusKnotSpec(2, b), (m1, m2))
-                assert r1.value == r2.value, (b, m1, m2)
+    cases = [(b, (m1, m2)) for b in (1, 3, 5)
+             for m1 in range(3) for m2 in range(3)]
+    for b, w in cases + [(5, (30, 30))]:
+        r1 = jones_t2b(b, w)
+        r2 = jones_rosso(TorusKnotSpec(2, b), w)
+        assert r1.value == r2.value, (b, w)
 
 
 def test_torus_parameter_symmetry():

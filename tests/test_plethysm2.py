@@ -1,6 +1,8 @@
 """Closed-form second plethysm against the symmetric-function oracle."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sl3jones.plethysm2 import psi2_closed, psi2_schur_form, signed_dimension
 from sl3jones.schur3 import psi_oracle
@@ -31,9 +33,15 @@ def test_adjoint_hand_value():
 
 
 def test_oracle_equivalence():
-    for m1 in range(7):
-        for m2 in range(7):
-            assert psi2_closed((m1, m2)) == psi_oracle((m1, m2), 2), (m1, m2)
+    small = [(m1, m2) for m1 in range(7) for m2 in range(7)]
+    for w in small + [(20, 20), (30, 11), (40, 40)]:
+        assert psi2_closed(w) == psi_oracle(w, 2), w
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 30), st.integers(0, 30))
+def test_oracle_equivalence_sweep(m1, m2):
+    assert psi2_closed((m1, m2)) == psi_oracle((m1, m2), 2)
 
 
 def test_schur_form_equivalence_both_regimes():

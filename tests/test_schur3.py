@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sl3jones.schur3 import (NotSymmetricError, adams, decompose_schur,
-                             generic_row_at_m2_one, is_symmetric, mul_sym,
-                             p_one, p_zero, psi_oracle, schur, straighten,
-                             verify_lemma_LR, verify_lemma_psi2_recurrence)
+                             is_symmetric, mul_sym, p_one, p_zero, psi_oracle,
+                             schur, straighten, verify_lemma_LR,
+                             verify_lemma_psi2_recurrence)
 from sl3jones.sl3rep import SignedWeightSum, dimension
 
 partitions = st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6)) \
@@ -65,17 +65,44 @@ def test_straighten_examples():
     assert straighten((3, -1, 0)) is None
 
 
+def alternant(exps):
+    """a_exps = det(x_i^exps_j), built from its six signed monomials."""
+    out = {}
+    for perm, sign in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+                       ((1, 0, 2), -1), ((0, 2, 1), -1), ((2, 1, 0), -1)):
+        mono = tuple(exps[i] for i in perm)
+        out[mono] = out.get(mono, 0) + sign
+    return {m: c for m, c in out.items() if c}
+
+
+VANDERMONDE = alternant((2, 1, 0))
+
+
 @settings(max_examples=80)
 @given(st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(0, 7)))
 def test_straighten_matches_alternant(lam):
+    # a_(lam+delta) is sign * s_part * a_delta, or zero when lam dies
+    a_lam = alternant(tuple(lam[i] + (2, 1, 0)[i] for i in range(3)))
     st_ = straighten(lam)
     if st_ is None:
-        assert schur(lam) == p_zero()
+        assert a_lam == p_zero()
     else:
         sign, part = st_
-        got = schur(lam)
-        expect = {m: sign * c for m, c in schur(part).items()}
-        assert got == expect
+        expect = {m: sign * c
+                  for m, c in mul_sym(schur(part), VANDERMONDE).items()}
+        assert a_lam == expect
+    # the bialternant formula holds for the raw index too
+    assert mul_sym(schur(lam), VANDERMONDE) == a_lam
+
+
+def test_schur_times_vandermonde_is_alternant():
+    # the Gelfand-Tsetlin sum satisfies the bialternant formula
+    for l1 in range(8):
+        for l2 in range(l1 + 1):
+            for l3 in range(l2 + 1):
+                lam = (l1, l2, l3)
+                assert mul_sym(schur(lam), VANDERMONDE) == \
+                    alternant((l1 + 2, l2 + 1, l3)), lam
 
 
 # -- symmetry and decomposition -------------------------------------------
@@ -222,10 +249,3 @@ def test_psi2_recurrence_range():
 def test_psi2_recurrence_precondition():
     with pytest.raises(ValueError):
         verify_lemma_psi2_recurrence(2, 2)
-
-
-def test_generic_row_probe_at_m2_one():
-    # observation only: the generic product rows keep holding at m2 = 1
-    # once out-of-range labels straighten; recorded, not load-bearing
-    results = [generic_row_at_m2_one(m1) for m1 in range(2, 11)]
-    print("generic rows at m2=1 hold on 2..10:", all(results))
