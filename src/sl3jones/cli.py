@@ -11,6 +11,7 @@ codes: 0 success, 2 usage error, 3 internal-consistency failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -23,7 +24,8 @@ from .jones import TorusKnotSpec, degree_report, jones_rosso, jones_t2b
 from .laurent import LaurentError, ScaleError
 from .plethysm2 import psi2_closed, psi2_schur_form, signed_dimension
 from .schur3 import psi_oracle, verify_lemma_LR, verify_lemma_psi2_recurrence
-from .sl3rep import qdim_closed, qdim_weyl, twist_monomial, twist_weyl_check
+from .sl3rep import (dimension, qdim_closed, qdim_weyl, twist_monomial,
+                     twist_weyl_check)
 
 __all__ = ["main"]
 
@@ -172,15 +174,24 @@ def _table_text(a, b, mx, var, full, jobs) -> str:
     header = "m1,m2,min_deg,max_deg,min_coeff,max_coeff,term_count"
     if full:
         header += ",polynomial"
-    cells = [(a, b, m1, m2, var, full)
-             for m1 in range(mx + 1) for m2 in range(mx + 1)]
+    # J(m1, m2) = J(m2, m1): V_(m2,m1) is dual to V_(m1,m2) and torus
+    # knots are invertible.  So only the cells with m1 <= m2 are computed,
+    # largest first, and each row with m1 > m2 is its mirror's row with
+    # the colors swapped.
+    cells = sorted(((a, b, m1, m2, var, full)
+                    for m1 in range(mx + 1) for m2 in range(m1, mx + 1)),
+                   key=lambda c: dimension((c[2], c[3])), reverse=True)
     workers = _worker_count(jobs, len(cells))
     if workers > 1:
+        # one cell per task, so no worker draws a chunk of big cells last
         with Pool(workers) as pool:
-            rows = pool.map(_table_cell, cells)
+            rows = pool.map(_table_cell, cells, chunksize=1)
     else:
-        rows = [_table_cell(c) for c in cells]
-    return "\n".join([header] + rows) + "\n"
+        rows = map(_table_cell, cells)
+    tails = {(c[2], c[3]): row.split(",", 2)[2] for c, row in zip(cells, rows)}
+    return "\n".join(
+        [header] + [f"{m1},{m2},{tails[min(m1, m2), max(m1, m2)]}"
+                    for m1 in range(mx + 1) for m2 in range(mx + 1)]) + "\n"
 
 
 # -- subcommand handlers ------------------------------------------------
@@ -256,8 +267,7 @@ def _selfcheck_properties(mx: int):
         return all(twist_weyl_check(w) for w in rng2)
 
     def plethysm_oracle_equivalence():
-        small = [(m1, m2) for m1 in range(4) for m2 in range(4)]
-        return all(psi2_closed(w) == psi_oracle(w, 2) for w in small)
+        return all(psi2_closed(w) == psi_oracle(w, 2) for w in rng2)
 
     def plethysm_schur_form():
         pairs = [(m1, m2) for m1 in range(2 * mx + 1) for m2 in range(m1 + 1)]
@@ -273,7 +283,6 @@ def _selfcheck_properties(mx: int):
                    for m1 in range(1, mx + 1) for m2 in range(m1))
 
     def signed_dimension_conservation():
-        from .sl3rep import dimension
         small = [(m1, m2) for m1 in range(4) for m2 in range(4)]
         return all(signed_dimension(psi_oracle(w, a)) == dimension(w)
                    for w in small for a in (2, 3))
@@ -289,6 +298,16 @@ def _selfcheck_properties(mx: int):
         return all(jones_rosso(TorusKnotSpec(3, 2), w).value
                    == jones_rosso(TorusKnotSpec(2, 3), w).value
                    for w in small)
+
+    def color_swap_symmetry():
+        # the table computes m1 <= m2 only and mirrors the other rows
+        if not all(jones_t2b(b, (m1, m2)).value == jones_t2b(b, (m2, m1)).value
+                   for b in (3, 5) for m1, m2 in rng2 if m1 < m2):
+            return False
+        knot = TorusKnotSpec(3, 4)
+        return all(jones_rosso(knot, (m1, m2)).value
+                   == jones_rosso(knot, (m2, m1)).value
+                   for m1 in range(5) for m2 in range(m1 + 1, 5 - m1))
 
     def unknot_normalization():
         if not all(jones_t2b(1, w).value == jones_t2b(1, w).value.one(1)
@@ -306,6 +325,7 @@ def _selfcheck_properties(mx: int):
         ("signed-dimension-conservation", signed_dimension_conservation),
         ("torus-route-equivalence", torus_route_equivalence),
         ("torus-symmetry", torus_symmetry),
+        ("color-swap-symmetry", color_swap_symmetry),
         ("unknot-normalization", unknot_normalization),
     ]
 
@@ -349,7 +369,9 @@ def _add_common(p, color=True, knot=False, var=False, fmt=True, cache=False):
         p.add_argument("--out", default=None, help="write output to a file")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and reused by main."""
     parser = argparse.ArgumentParser(
         prog="sl3jones",
         description="Exact sl3 colored invariants of torus knots T(2,b).")

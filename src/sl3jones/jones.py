@@ -27,8 +27,7 @@ from .laurent import (InexactDivisionError, NonIntegralExponentError,
                       ScaledLaurent, UndefinedDegreeError)
 from .plethysm2 import psi2_closed
 from .schur3 import psi_oracle
-from .sl3rep import (SignedWeightSum, Weight, WeightLike, _as_dominant,
-                     twist_exponent)
+from .sl3rep import SignedWeightSum, Weight, WeightLike, _as_dominant, _twist3
 
 __all__ = [
     "TorusKnotSpec",
@@ -117,11 +116,15 @@ def _div_stride(dense: list[int], stride: int) -> None:
 
 def _rosso_jones(expansion: SignedWeightSum, a: int, b: int,
                  color: Weight) -> ScaledLaurent:
-    """The Rosso-Jones sum over expansion, reduced to scale 1."""
+    """The Rosso-Jones sum over expansion, reduced to scale 1.
+
+    The weights of expansion were checked dominant when it was built, and
+    color by the caller, so the twists take the unchecked form.
+    """
     scale, h = 6 * a, 3 * a
     acc: dict[int, int] = {}
     for (n1, n2), c in expansion.items():
-        t = 2 * b * twist_exponent((n1, n2))
+        t = 2 * b * _twist3(n1, n2)
         ea, eb, ec = h * (n1 + 1), h * (n2 + 1), h * (n1 + n2 + 2)
         for pa, sa in ((t + ea, c), (t - ea, -c)):
             for pb, sb in ((pa + eb, sa), (pa - eb, -sa)):
@@ -140,7 +143,7 @@ def _rosso_jones(expansion: SignedWeightSum, a: int, b: int,
     # The divisors are polynomials in q, so every class of exponents mod
     # the integer lattice that the sum occupies stays occupied: the result
     # is integral exactly when step and base are.
-    base = lo + h * sum(ns) - 2 * a * a * b * twist_exponent(color)
+    base = lo + h * sum(ns) - 2 * a * a * b * _twist3(m1, m2)
     if step % scale or base % scale:
         raise NonIntegralExponentError(
             f"T({a},{b}) at color {tuple(color)} has fractional exponents")

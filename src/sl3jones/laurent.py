@@ -62,12 +62,20 @@ class ScaledLaurent:
     def __init__(self, scale: int, terms: TermsLike = ()):
         if not isinstance(scale, int) or scale < 1:
             raise ScaleError(f"scale must be a positive integer, got {scale!r}")
-        pairs = terms.items() if isinstance(terms, Mapping) else terms
-        clean: dict[int, int] = {}
-        for e, c in pairs:
-            if not isinstance(e, int) or not isinstance(c, int):
+        if isinstance(terms, Mapping):
+            # unique keys: one copy and one check over the distinct types
+            clean = dict(terms)
+            if not all(issubclass(t, int) for t in
+                       {*map(type, clean), *map(type, clean.values())}):
+                e, c = next((e, c) for e, c in clean.items()
+                            if not (isinstance(e, int) and isinstance(c, int)))
                 raise TypeError(f"term ({e!r}, {c!r}) is not an int pair")
-            clean[e] = clean.get(e, 0) + c
+        else:
+            clean = {}
+            for e, c in terms:
+                if not isinstance(e, int) or not isinstance(c, int):
+                    raise TypeError(f"term ({e!r}, {c!r}) is not an int pair")
+                clean[e] = clean.get(e, 0) + c
         if 0 in clean.values():  # a scan is cheaper than always copying
             clean = {e: c for e, c in clean.items() if c}
         object.__setattr__(self, "scale", scale)

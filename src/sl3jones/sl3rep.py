@@ -44,7 +44,7 @@ WeightLike = Union[Weight, tuple[int, int]]
 
 
 def _as_weight(w: WeightLike) -> Weight:
-    wt = Weight(*w)
+    wt = w if type(w) is Weight else Weight._make(w)
     if not (isinstance(wt.m1, int) and isinstance(wt.m2, int)):
         raise TypeError(f"weight coordinates must be ints, got {wt!r}")
     return wt
@@ -131,13 +131,17 @@ def qdim_weyl(w: WeightLike, scale: int = 6) -> ScaledLaurent:
     return num.div_exact(den)
 
 
+def _twist3(m1: int, m2: int) -> int:
+    """twist_exponent of the weight (m1, m2), unchecked."""
+    return m1 * m1 + m1 * m2 + m2 * m2 + 3 * (m1 + m2)
+
+
 def twist_exponent(w: WeightLike) -> int:
     """Three times the exponent of the twist: theta_w = q^(t/3).
 
     t = m1^2 + m1*m2 + m2^2 + 3*(m1 + m2), a plain integer.
     """
-    m1, m2 = _as_dominant(w)
-    return m1 * m1 + m1 * m2 + m2 * m2 + 3 * (m1 + m2)
+    return _twist3(*_as_dominant(w))
 
 
 def twist_monomial(w: WeightLike, num: int, den: int = 1,

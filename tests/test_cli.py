@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -162,6 +164,40 @@ def test_argparse_exit_on_unknown_command():
     assert exc.value.code == 2
 
 
+def test_parser_reused_across_calls(capsys):
+    # main builds the parser once per process; every call must still
+    # behave as in a fresh process
+    calls = [["jones", "--b", "3", "--m1", "1", "--m2", "0"],
+             ["table", "--b", "3", "--max", "1", "--full"],
+             ["frobnicate"],
+             ["--version"],
+             ["jones", "--b", "4", "--m1", "1", "--m2", "0"],
+             ["qdim", "--m1", "2", "--m2", "1", "--format", "json"],
+             ["jones", "--b", "3", "--m1", "1", "--m2", "0"]]
+
+    def in_process(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    def fresh(argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "sl3jones.cli", *argv],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        return proc.returncode, proc.stdout, proc.stderr
+
+    got = [in_process(argv) for argv in calls]
+    assert cli._build_parser() is cli._build_parser()
+    assert [g[0] for g in got] == [0, 0, 2, 0, 2, 0, 0]
+    assert got[-1] == got[0]
+    for argv, g in zip(calls, got):
+        assert g == fresh(argv), argv
+
+
 def test_selfcheck_failure_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_selfcheck_properties",
                         lambda mx: [("rigged", lambda: False)])
@@ -174,8 +210,9 @@ def test_selfcheck_passes(capsys):
     code, out, _ = run(capsys, "selfcheck", "--max", "2")
     assert code == 0
     lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
-    assert len(lines) == 10
+    assert len(lines) == 11
     assert all(l.startswith("PASS") for l in lines)
+    assert "PASS color-swap-symmetry" in lines
 
 
 # -- table ----------------------------------------------------------------
@@ -219,6 +256,24 @@ def test_worker_count_caps_jobs(monkeypatch):
     assert cli._worker_count(64, 3) == 3
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
     assert cli._worker_count(64, 441) == 1
+
+
+@pytest.mark.parametrize("opts", [
+    ("--b", "3", "--max", "4"),
+    ("--b", "5", "--max", "3", "--full"),
+    ("--b", "3", "--max", "4", "--var", "qinv"),
+    ("--a", "3", "--b", "4", "--max", "3", "--full"),
+    ("--b", "7", "--max", "4", "--jobs", "2"),
+])
+def test_table_matches_full_square(capsys, opts):
+    # the table computes m1 <= m2 and mirrors the rest; the literal
+    # assembly computes every cell
+    args = cli._build_parser().parse_args(["table", *opts])
+    rows = [cli._table_cell((args.a, args.b, m1, m2, args.var, args.full))
+            for m1 in range(args.max + 1) for m2 in range(args.max + 1)]
+    code, out, _ = run(capsys, "table", *opts)
+    assert code == 0
+    assert out.splitlines()[1:] == rows
 
 
 def test_table_var_changes_signs(capsys):

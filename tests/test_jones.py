@@ -96,12 +96,22 @@ def test_fundamental_trefoil():
     assert jones_t2b(3, (0, 1)).value == got
 
 
-def test_color_swap_symmetry():
-    for b in (3, 5):
-        for m1 in range(4):
-            for m2 in range(4):
-                assert jones_t2b(b, (m1, m2)).value == \
-                    jones_t2b(b, (m2, m1)).value, (b, m1, m2)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 25), st.integers(0, 30), st.integers(0, 30))
+def test_color_swap_symmetry(half_b, m1, m2):
+    # V_(m2,m1) is dual to V_(m1,m2) and T(2,b) is invertible; the table
+    # computes only m1 <= m2 and relies on this
+    b = 2 * half_b + 1
+    assert jones_t2b(b, (m1, m2)).value == jones_t2b(b, (m2, m1)).value
+
+
+def test_color_swap_symmetry_rosso():
+    for a, b in ((3, 4), (3, 5), (4, 5)):
+        knot = TorusKnotSpec(a, b)
+        for m1 in range(7):
+            for m2 in range(m1 + 1, 7 - m1):
+                assert jones_rosso(knot, (m1, m2)).value == \
+                    jones_rosso(knot, (m2, m1)).value, (a, b, m1, m2)
 
 
 # -- cross-route agreement ---------------------------------------------------

@@ -44,10 +44,15 @@ def test_duplicate_pairs_accumulate():
 
 
 def test_type_validation():
-    with pytest.raises(TypeError):
-        L({0: 1.5})
-    with pytest.raises(TypeError):
-        L({0.5: 1})
+    # a Mapping is checked in bulk, pairs one by one: both must refuse
+    for bad in ({0: 1.5}, {0.5: 1}, {0: 1, 3: "2"}, {0: 1, None: 1}):
+        with pytest.raises(TypeError, match="is not an int pair"):
+            L(bad)
+        with pytest.raises(TypeError, match="is not an int pair"):
+            L(list(bad.items()))
+    with pytest.raises(TypeError, match=r"term \(3, '2'\)"):
+        L({0: 1, 3: "2", 4: 1.5})
+    assert L({0: True}) == L({0: 1})
     with pytest.raises(ScaleError):
         ScaledLaurent(0, {})
     with pytest.raises(ScaleError):
