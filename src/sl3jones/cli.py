@@ -1,11 +1,16 @@
 """Command line front end.
 
 Subcommands: jones, plethysm, qdim, twist, degrees, table, selfcheck.
-Output is deterministic for a given parameter set, so results can be
-cached content-addressed by the canonical parameter string plus the
-package version; cache files are written atomically, corrupt entries
-are recomputed with a warning, and a failed store only warns.  Exit
-codes: 0 success, 2 usage error, 3 internal-consistency failure.
+Every value command takes one path: its subparser's func turns the
+parsed options into a value, _render writes it as text or JSON (the
+table is already CSV text), _with_cache serves or stores that text, and
+_emit prints it or writes --out.  Output is deterministic for a given
+parameter set, so jones, plethysm, degrees and table cache it
+content-addressed by the package version plus every parsed option that
+can change it; cache files are written atomically, corrupt entries are
+recomputed with a warning, and a failed store only warns.  selfcheck
+prints its own report and is never cached.  Exit codes: 0 success,
+2 usage error, 3 internal-consistency failure.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ import json
 import os
 import sys
 import tempfile
-from multiprocessing import Pool
 
 from . import __version__
 from .jones import TorusKnotSpec, degree_report, jones_rosso, jones_t2b
@@ -31,12 +35,11 @@ __all__ = ["main"]
 
 CACHE_ENV = "SL3JONES_CACHE"
 
+# parsed options that never change a command's output
+_NOT_IN_KEY = frozenset({"func", "cache", "out", "jobs", "limit"})
+
 
 # -- caching ----------------------------------------------------------
-
-
-def _cache_dir(args) -> str | None:
-    return getattr(args, "cache", None) or os.environ.get(CACHE_ENV) or None
 
 
 def _cache_path(cdir: str, key: str) -> str:
@@ -46,14 +49,14 @@ def _cache_path(cdir: str, key: str) -> str:
 
 def _cache_lookup(cdir: str, key: str) -> str | None:
     path = _cache_path(cdir, key)
-    if not os.path.exists(path):
-        return None
     try:
         with open(path, encoding="utf-8") as f:
             data = json.load(f)
         if data.get("key") != key or not isinstance(data.get("output"), str):
             raise ValueError("key mismatch")
         return data["output"]
+    except (FileNotFoundError, NotADirectoryError):
+        return None  # no entry at this path: a plain miss
     except (OSError, ValueError, KeyError):
         print(f"warning: ignoring corrupt cache entry {path}", file=sys.stderr)
         return None
@@ -73,31 +76,48 @@ def _cache_store(cdir: str, key: str, output: str) -> None:
         raise
 
 
-def _with_cache(args, key_parts: list[str], compute) -> str:
-    key = "|".join([__version__] + [str(p) for p in key_parts])
-    cdir = _cache_dir(args)
-    if cdir:
-        hit = _cache_lookup(cdir, key)
-        if hit is not None:
-            return hit
+def _with_cache(args, compute) -> str:
+    """compute(), served from or stored in the cache of a --cache command.
+
+    The key is the package version plus every parsed option, sorted by
+    name, except those in _NOT_IN_KEY.
+    """
+    cdir = "cache" in args and (args.cache or os.environ.get(CACHE_ENV))
+    if not cdir:
+        return compute()
+    key = "|".join([__version__] + [f"{k}={v}"
+                                    for k, v in sorted(vars(args).items())
+                                    if k not in _NOT_IN_KEY])
+    hit = _cache_lookup(cdir, key)
+    if hit is not None:
+        return hit
     output = compute()
-    if cdir:
-        try:
-            _cache_store(cdir, key, output)
-        except OSError as exc:
-            print(f"warning: cache store in {cdir} failed: {exc}",
-                  file=sys.stderr)
+    try:
+        _cache_store(cdir, key, output)
+    except OSError as exc:
+        print(f"warning: cache store in {cdir} failed: {exc}", file=sys.stderr)
     return output
 
 
 def _enforce_limit(args) -> None:
+    """--m1, --m2, --max in 0..--limit (100 without one); --jobs >= 1."""
     limit = getattr(args, "limit", 100)
     for name in ("m1", "m2", "max"):
         v = getattr(args, name, None)
-        if v is not None and v > limit:
-            raise ValueError(
-                f"--{name} {v} exceeds the configured limit {limit} "
-                f"(raise it with --limit)")
+        if v is not None and not 0 <= v <= limit:
+            raise ValueError(f"--{name} {v} lies outside 0..{limit}"
+                             + (" (see --limit)" if "limit" in args else ""))
+    if getattr(args, "jobs", 1) < 1:
+        raise ValueError("--jobs must be at least 1")
+
+
+def _render(args, value) -> str:
+    """value as text or, with --format json, as compact JSON; CSV as is."""
+    if isinstance(value, str):
+        return value
+    if args.format == "json":
+        return json.dumps(value.to_json_dict(), separators=(",", ":"))
+    return value.to_text()
 
 
 def _emit(args, text: str) -> int:
@@ -127,31 +147,28 @@ def _compute_result(a: int, b: int, m1: int, m2: int, var: str):
     return res.mirrored() if var == "qinv" else res
 
 
-def _jones_text(a, b, m1, m2, var, fmt) -> str:
-    res = _compute_result(a, b, m1, m2, var)
-    if fmt == "json":
-        return json.dumps(res.to_json_dict(), separators=(",", ":"))
-    return res.value.to_text()
+def _jones(args):
+    return _compute_result(args.a, args.b, args.m1, args.m2, args.var)
 
 
-def _plethysm_text(m1, m2, a, fmt) -> str:
-    s = psi2_closed((m1, m2)) if a == 2 else psi_oracle((m1, m2), a)
-    if fmt == "json":
-        return json.dumps(s.to_json_dict(), separators=(",", ":"))
-    return s.to_text()
+def _degrees(args):
+    return degree_report(_jones(args))
 
 
-def _degrees_text(a, b, m1, m2, var, fmt) -> str:
-    rep = degree_report(_compute_result(a, b, m1, m2, var))
-    if fmt == "json":
-        return json.dumps(rep.to_json_dict(), separators=(",", ":"))
-    lines = []
-    for name, v in rep.to_json_dict().items():
-        if isinstance(v, list):
-            lines.append(f"{name} {','.join(str(x) for x in v)}")
-        else:
-            lines.append(f"{name} {v}")
-    return "\n".join(lines)
+def _plethysm(args):
+    w = (args.m1, args.m2)
+    return psi2_closed(w) if args.a == 2 else psi_oracle(w, args.a)
+
+
+def _qdim(args):
+    return qdim_closed((args.m1, args.m2))
+
+
+def _twist(args):
+    try:
+        return twist_monomial((args.m1, args.m2), args.num, args.den)
+    except ScaleError as exc:
+        raise ValueError(str(exc)) from None
 
 
 def _table_cell(cell) -> str:
@@ -170,7 +187,8 @@ def _worker_count(jobs: int, cells: int) -> int:
     return min(jobs, cells, os.cpu_count() or 1)
 
 
-def _table_text(a, b, mx, var, full, jobs) -> str:
+def _table(args) -> str:
+    a, b, mx, var, full = args.a, args.b, args.max, args.var, args.full
     header = "m1,m2,min_deg,max_deg,min_coeff,max_coeff,term_count"
     if full:
         header += ",polynomial"
@@ -181,8 +199,10 @@ def _table_text(a, b, mx, var, full, jobs) -> str:
     cells = sorted(((a, b, m1, m2, var, full)
                     for m1 in range(mx + 1) for m2 in range(m1, mx + 1)),
                    key=lambda c: dimension((c[2], c[3])), reverse=True)
-    workers = _worker_count(jobs, len(cells))
+    workers = _worker_count(args.jobs, len(cells))
     if workers > 1:
+        from multiprocessing import Pool  # only a parallel table pays for it
+
         # one cell per task, so no worker draws a chunk of big cells last
         with Pool(workers) as pool:
             rows = pool.map(_table_cell, cells, chunksize=1)
@@ -194,67 +214,7 @@ def _table_text(a, b, mx, var, full, jobs) -> str:
                     for m1 in range(mx + 1) for m2 in range(mx + 1)]) + "\n"
 
 
-# -- subcommand handlers ------------------------------------------------
-
-
-def _cmd_jones(args) -> int:
-    text = _with_cache(
-        args,
-        ["jones", args.a, args.b, args.m1, args.m2, args.var, args.format],
-        lambda: _jones_text(args.a, args.b, args.m1, args.m2, args.var,
-                            args.format))
-    return _emit(args, text)
-
-
-def _cmd_plethysm(args) -> int:
-    text = _with_cache(
-        args,
-        ["plethysm", args.a, args.m1, args.m2, args.format],
-        lambda: _plethysm_text(args.m1, args.m2, args.a, args.format))
-    return _emit(args, text)
-
-
-def _cmd_qdim(args) -> int:
-    value = qdim_closed((args.m1, args.m2))
-    if args.format == "json":
-        text = json.dumps(value.to_json_dict(), separators=(",", ":"))
-    else:
-        text = value.to_text()
-    return _emit(args, text)
-
-
-def _cmd_twist(args) -> int:
-    try:
-        value = twist_monomial((args.m1, args.m2), args.num, args.den)
-    except ScaleError as exc:
-        raise ValueError(str(exc)) from None
-    if args.format == "json":
-        text = json.dumps(value.to_json_dict(), separators=(",", ":"))
-    else:
-        text = value.to_text()
-    return _emit(args, text)
-
-
-def _cmd_degrees(args) -> int:
-    text = _with_cache(
-        args,
-        ["degrees", args.a, args.b, args.m1, args.m2, args.var, args.format],
-        lambda: _degrees_text(args.a, args.b, args.m1, args.m2, args.var,
-                              args.format))
-    return _emit(args, text)
-
-
-def _cmd_table(args) -> int:
-    if args.max < 0:
-        raise ValueError("--max must be nonnegative")
-    if args.jobs < 1:
-        raise ValueError("--jobs must be at least 1")
-    text = _with_cache(
-        args,
-        ["table", args.a, args.b, args.max, args.var, args.full],
-        lambda: _table_text(args.a, args.b, args.max, args.var, args.full,
-                            args.jobs))
-    return _emit(args, text)
+# -- selfcheck ----------------------------------------------------------
 
 
 def _selfcheck_properties(mx: int):
@@ -283,31 +243,27 @@ def _selfcheck_properties(mx: int):
                    for m1 in range(1, mx + 1) for m2 in range(m1))
 
     def signed_dimension_conservation():
-        small = [(m1, m2) for m1 in range(4) for m2 in range(4)]
         return all(signed_dimension(psi_oracle(w, a)) == dimension(w)
-                   for w in small for a in (2, 3))
+                   for w in rng2 for a in (2, 3))
 
     def torus_route_equivalence():
-        small = [(m1, m2) for m1 in range(3) for m2 in range(3)]
         return all(jones_rosso(TorusKnotSpec(2, b), w).value
                    == jones_t2b(b, w).value
-                   for b in (1, 3) for w in small)
+                   for b in (1, 3) for w in rng2)
 
     def torus_symmetry():
-        small = [(m1, m2) for m1 in range(2) for m2 in range(2)]
         return all(jones_rosso(TorusKnotSpec(3, 2), w).value
                    == jones_rosso(TorusKnotSpec(2, 3), w).value
-                   for w in small)
+                   for w in rng2)
 
     def color_swap_symmetry():
         # the table computes m1 <= m2 only and mirrors the other rows
-        if not all(jones_t2b(b, (m1, m2)).value == jones_t2b(b, (m2, m1)).value
-                   for b in (3, 5) for m1, m2 in rng2 if m1 < m2):
-            return False
         knot = TorusKnotSpec(3, 4)
-        return all(jones_rosso(knot, (m1, m2)).value
-                   == jones_rosso(knot, (m2, m1)).value
-                   for m1 in range(5) for m2 in range(m1 + 1, 5 - m1))
+        pairs = [(m1, m2) for m1, m2 in rng2 if m1 < m2]
+        return (all(jones_t2b(b, w).value == jones_t2b(b, w[::-1]).value
+                    for b in (3, 5) for w in pairs)
+                and all(jones_rosso(knot, w).value
+                        == jones_rosso(knot, w[::-1]).value for w in pairs))
 
     def unknot_normalization():
         if not all(jones_t2b(1, w).value == jones_t2b(1, w).value.one(1)
@@ -380,27 +336,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("jones", help="colored invariant of one knot/color")
     _add_common(p, knot=True, var=True, cache=True)
-    p.set_defaults(func=_cmd_jones)
+    p.set_defaults(func=_jones)
 
     p = sub.add_parser("plethysm", help="signed second-plethysm expansion")
     p.add_argument("--a", type=int, default=2,
                    help="plethysm degree (2 uses the closed form)")
     _add_common(p, cache=True)
-    p.set_defaults(func=_cmd_plethysm)
+    p.set_defaults(func=_plethysm)
 
     p = sub.add_parser("qdim", help="quantum dimension of a weight")
     _add_common(p)
-    p.set_defaults(func=_cmd_qdim)
+    p.set_defaults(func=_qdim)
 
     p = sub.add_parser("twist", help="twist power of a weight")
     _add_common(p)
     p.add_argument("--num", type=int, default=1)
     p.add_argument("--den", type=int, default=1)
-    p.set_defaults(func=_cmd_twist)
+    p.set_defaults(func=_twist)
 
     p = sub.add_parser("degrees", help="degree and coefficient extremes")
     _add_common(p, knot=True, var=True, cache=True)
-    p.set_defaults(func=_cmd_degrees)
+    p.set_defaults(func=_degrees)
 
     p = sub.add_parser("table", help="CSV degree table over a color range")
     _add_common(p, color=False, knot=True, var=True, fmt=False, cache=True)
@@ -410,12 +366,11 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="append the full polynomial column")
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel workers (default 1, serial)")
-    p.set_defaults(func=_cmd_table)
+    p.set_defaults(func=_table)
 
     p = sub.add_parser("selfcheck", help="run the cross-formula checks")
     p.add_argument("--max", type=int, default=5,
                    help="weight range bound for the checks (default 5)")
-    p.set_defaults(func=_cmd_selfcheck)
 
     return parser
 
@@ -424,9 +379,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if hasattr(args, "limit"):
-            _enforce_limit(args)
-        return args.func(args)
+        _enforce_limit(args)
+        if args.command == "selfcheck":  # its own report, never cached
+            return _cmd_selfcheck(args)
+        text = _with_cache(args, lambda: _render(args, args.func(args)))
+        return _emit(args, text)
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -77,6 +77,9 @@ class ColoredJonesResult:
         flipped = "qinv" if self.variable == "q" else "q"
         return replace(self, value=self.value.mirror(), variable=flipped)
 
+    def to_text(self) -> str:
+        return self.value.to_text()
+
     def to_json_dict(self) -> dict:
         return {
             "knot": {"a": self.knot.a, "b": self.knot.b},
@@ -103,6 +106,12 @@ class DegreeReport:
         """The fields in declaration order, tuples as lists."""
         return {k: list(v) if isinstance(v, tuple) else v
                 for k, v in asdict(self).items()}
+
+    def to_text(self) -> str:
+        """One "name value" line per field, lists comma-joined."""
+        return "\n".join(
+            f"{k} {','.join(map(str, v)) if isinstance(v, list) else v}"
+            for k, v in self.to_json_dict().items())
 
 
 def _div_stride(dense: list[int], stride: int) -> None:

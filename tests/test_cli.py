@@ -90,10 +90,9 @@ def test_degrees_text(capsys):
     code, out, _ = run(capsys, "degrees", "--b", "3", "--m1", "1", "--m2",
                        "0", "--var", "qinv")
     assert code == 0
-    lines = out.splitlines()
-    assert "min_deg 2" in lines
-    assert "max_deg 6" in lines
-    assert "leading -1" in lines
+    assert out == ("min_deg 2\nmax_deg 6\nmin_coeff -1\nmax_coeff 1\n"
+                   "min_coeff_exponents 6\nmax_coeff_exponents 2,4\n"
+                   "leading -1\ntrailing 1\n")
 
 
 def test_degrees_json(capsys):
@@ -139,6 +138,17 @@ def test_limit_bounds_parameters(capsys):
     code, _, _ = run(capsys, "jones", "--b", "3", "--m1", "5", "--m2", "0",
                      "--limit", "5")
     assert code == 0
+
+
+def test_selfcheck_max_out_of_range(capsys):
+    code, out, err = run(capsys, "selfcheck", "--max", "-1")
+    assert code == 2
+    assert out == ""
+    assert "usage error" in err
+    # selfcheck has no --limit, so its --max lies in 0..100
+    args = cli._build_parser().parse_args(["selfcheck", "--max", "101"])
+    with pytest.raises(ValueError, match="0..100"):
+        cli._enforce_limit(args)
 
 
 def test_usage_error_twist_off_lattice(capsys):
@@ -298,12 +308,15 @@ def test_cache_store_and_hit(tmp_path, capsys, monkeypatch):
     files = list(cdir.iterdir())
     assert len(files) == 1
     # a hit must reproduce the output without recomputing: break the
-    # computation and rely on the cache alone
-    monkeypatch.setattr(cli, "_jones_text",
+    # computation behind the jones value function and rely on the cache
+    monkeypatch.setattr(cli, "_compute_result",
                         lambda *a: (_ for _ in ()).throw(RuntimeError))
     code, second, _ = run(capsys, *args)
     assert code == 0
     assert second == first
+    # the broken computation is on the path of an uncached request
+    with pytest.raises(RuntimeError):
+        cli.main(args[:-2])
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
@@ -372,3 +385,74 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text(encoding="utf-8") == "-1*q^-6 + 1*q^-4 + 1*q^-2"
+
+
+def test_cache_entry_vanishing_is_a_silent_miss(tmp_path, capsys,
+                                                 monkeypatch):
+    # an entry removed between an existence check and the open is no
+    # corruption: the lookup opens the file directly
+    monkeypatch.setattr(cli.os.path, "exists", lambda path: True)
+    assert cli._cache_lookup(str(tmp_path), "some-key") is None
+    assert capsys.readouterr().err == ""
+
+
+def test_cache_unreadable_entry_warns(tmp_path, capsys):
+    cdir = tmp_path / "cache"
+    args = ["jones", "--b", "3", "--m1", "1", "--m2", "0",
+            "--cache", str(cdir)]
+    code, first, _ = run(capsys, *args)
+    (path,) = cdir.iterdir()
+    path.unlink()
+    path.mkdir()  # a read failure other than a missing file
+    code, second, err = run(capsys, *args)
+    assert code == 0
+    assert second == first
+    assert "corrupt" in err
+
+
+def test_cache_key_ignores_jobs_out_and_limit(tmp_path, capsys):
+    cdir = tmp_path / "cache"
+    base = ["table", "--b", "3", "--max", "3", "--cache", str(cdir)]
+    code, serial, _ = run(capsys, *base)
+    assert code == 0
+    code, par, _ = run(capsys, *base, "--jobs", "2")
+    assert code == 0 and par == serial
+    target = tmp_path / "t.csv"
+    assert run(capsys, *base, "--out", str(target))[0] == 0
+    assert target.read_text(encoding="utf-8") == serial
+    assert run(capsys, *base, "--limit", "50")[0] == 0
+    assert len(list(cdir.iterdir())) == 1
+
+
+@pytest.mark.parametrize("extra", [("--var", "qinv"), ("--full",),
+                                   ("--a", "3", "--b", "4")])
+def test_cache_key_output_options_add_one_entry(tmp_path, capsys, extra):
+    cdir = tmp_path / "cache"
+    base = ["table", "--b", "3", "--max", "2", "--cache", str(cdir)]
+    code, plain, _ = run(capsys, *base)
+    assert code == 0
+    code, other, _ = run(capsys, *base, *extra)
+    assert code == 0 and other != plain
+    assert len(list(cdir.iterdir())) == 2
+
+
+def test_cache_key_includes_format(tmp_path, capsys):
+    cdir = tmp_path / "cache"
+    args = ["jones", "--b", "3", "--m1", "1", "--m2", "0",
+            "--cache", str(cdir)]
+    _, text, _ = run(capsys, *args)
+    _, as_json, _ = run(capsys, *args, "--format", "json")
+    assert text != as_json
+    assert len(list(cdir.iterdir())) == 2
+    assert run(capsys, *args)[1] == text
+    assert run(capsys, *args, "--format", "json")[1] == as_json
+
+
+@pytest.mark.parametrize("argv", [("qdim", "--m1", "2", "--m2", "1"),
+                                  ("twist", "--m1", "1", "--m2", "1")])
+def test_qdim_twist_never_cached(tmp_path, capsys, monkeypatch, argv):
+    cdir = tmp_path / "envcache"
+    monkeypatch.setenv(cli.CACHE_ENV, str(cdir))
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert not cdir.exists()
