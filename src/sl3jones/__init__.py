@@ -16,7 +16,7 @@ from .laurent import (InexactDivisionError, LaurentError,
                       ScaleMismatchError, UndefinedDegreeError)
 from .plethysm2 import psi2_closed, psi2_schur_form, signed_dimension
 from .schur3 import (NotSymmetricError, adams, decompose_schur, is_symmetric,
-                     mul_sym, psi_oracle, schur, straighten, verify_lemma_LR,
+                     psi_oracle, schur, straighten, verify_lemma_LR,
                      verify_lemma_psi2_recurrence)
 from .sl3rep import (ROOT_DATA, RootDataSl3, SignedWeightSum, Weight,
                      dimension, pairing, qdim_closed, qdim_weyl, qint,
@@ -46,7 +46,6 @@ __all__ = [
     "SignedWeightSum",
     # schur3
     "NotSymmetricError",
-    "mul_sym",
     "adams",
     "is_symmetric",
     "straighten",

@@ -52,12 +52,13 @@ def _cache_lookup(cdir: str, key: str) -> str | None:
     try:
         with open(path, encoding="utf-8") as f:
             data = json.load(f)
-        if data.get("key") != key or not isinstance(data.get("output"), str):
-            raise ValueError("key mismatch")
+        if (not isinstance(data, dict) or data.get("key") != key
+                or not isinstance(data.get("output"), str)):
+            raise ValueError("not an entry for this key")
         return data["output"]
     except (FileNotFoundError, NotADirectoryError):
         return None  # no entry at this path: a plain miss
-    except (OSError, ValueError, KeyError):
+    except (OSError, ValueError):
         print(f"warning: ignoring corrupt cache entry {path}", file=sys.stderr)
         return None
 
@@ -124,11 +125,10 @@ def _emit(args, text: str) -> int:
     out = getattr(args, "out", None)
     if out:
         try:
-            f = open(out, "w", encoding="utf-8", newline="\n")
+            with open(out, "w", encoding="utf-8", newline="\n") as f:
+                f.write(text)
         except OSError as exc:
             raise ValueError(f"cannot write --out {out}: {exc}") from None
-        with f:
-            f.write(text)
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):

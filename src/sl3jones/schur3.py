@@ -5,13 +5,13 @@ integer coefficients.  A Schur index straightens to a signed partition
 (or to zero) by adding the staircase delta = (2, 1, 0), sorting with the
 permutation's sign and subtracting delta again; the Schur polynomial of
 a partition is the sum of x^weight over its Gelfand-Tsetlin patterns.
-Decomposition into the Schur basis is one pass of the Brauer-Klimyk
-rule: for symmetric f, f * a_delta = sum_m f_m a_(m+delta), so each
-monomial x^m contributes f_m times the straightened index m.  The
-plethysm oracle applies an Adams operation x_i -> x_i^a to a character
-and decomposes the result back into the Schur basis; it is the
-independent cross-check for the closed second-plethysm formula in the
-plethysm2 module.
+Every Schur-basis expansion is one straightening pass: decompose_schur
+straightens the monomials of a symmetric polynomial (the Brauer-Klimyk
+rule with s_0 = 1), and the identity checks straighten their case-table
+rows the same way before comparing both sides as sl3 weights.
+The plethysm oracle applies an Adams operation x_i -> x_i^a to a
+character and decomposes the result; it is the independent cross-check
+for the closed second-plethysm formula in the plethysm2 module.
 """
 
 from __future__ import annotations
@@ -26,10 +26,6 @@ __all__ = [
     "SymPoly3",
     "GLIndex",
     "NotSymmetricError",
-    "p_zero",
-    "p_one",
-    "p_add",
-    "p_sub",
     "mul_sym",
     "adams",
     "is_symmetric",
@@ -46,28 +42,12 @@ GLIndex = Tuple[int, int, int]
 
 _DELTA = (2, 1, 0)
 
+# the power sum p2 = psi2(s_1) = s_2 - s_(1,1), three monomials
+_P2: SymPoly3 = {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1}
+
 
 class NotSymmetricError(ValueError):
     """Schur decomposition requested for a non-symmetric polynomial."""
-
-
-def p_zero() -> SymPoly3:
-    return {}
-
-
-def p_one() -> SymPoly3:
-    return {(0, 0, 0): 1}
-
-
-def p_add(f: SymPoly3, g: SymPoly3) -> SymPoly3:
-    out = dict(f)
-    for mono, c in g.items():
-        out[mono] = out.get(mono, 0) + c
-    return {m: c for m, c in out.items() if c}
-
-
-def p_sub(f: SymPoly3, g: SymPoly3) -> SymPoly3:
-    return p_add(f, {m: -c for m, c in g.items()})
 
 
 def mul_sym(f: SymPoly3, g: SymPoly3) -> SymPoly3:
@@ -148,78 +128,87 @@ def schur(lam: GLIndex) -> SymPoly3:
     return dict(_schur_cached(lam))
 
 
-def decompose_schur(f: SymPoly3) -> dict[GLIndex, int]:
-    """Expand a symmetric polynomial in the Schur basis.
+def _straighten_sum(pairs) -> dict[GLIndex, int]:
+    """Sum c * s_lam over (lam, c) pairs in the partition basis.
 
-    One pass of the Brauer-Klimyk rule: f * a_delta is the sum of
-    f_m * a_(m+delta) over the monomials x^m of f, so each monomial adds
-    f_m times the sign of straighten(m) at its partition, or nothing when
-    it straightens to zero.  Raises NotSymmetricError for non-symmetric
-    input, for which the rule does not hold.
+    Each index adds c times the sign of straighten(lam) at its
+    partition, or nothing when it straightens to zero.
     """
-    if not is_symmetric(f):
-        raise NotSymmetricError("input is not a symmetric polynomial")
     out: dict[GLIndex, int] = {}
-    for mono, c in f.items():
-        st = straighten(mono)
+    for lam, c in pairs:
+        st = straighten(lam)
         if st is not None:
             sign, part = st
             out[part] = out.get(part, 0) + sign * c
     return {p: c for p, c in out.items() if c}
 
 
-def _reduce_two_row(expansion: dict[GLIndex, int]) -> dict[tuple[int, int], int]:
-    """Collapse GL(3) partitions to two-row labels (a-c, b-c).
+def decompose_schur(f: SymPoly3) -> dict[GLIndex, int]:
+    """Expand a symmetric polynomial in the Schur basis.
 
-    Determinant powers act trivially on sl3 characters, so identities
-    stated with two-row Schur labels are compared after this reduction.
+    The Brauer-Klimyk rule with s_0 = 1: f is the sum of f_m * s_m over
+    its monomials x^m, each straightened to a signed partition or to
+    zero.  Raises NotSymmetricError for non-symmetric input, for which
+    the rule does not hold.
     """
-    out: dict[tuple[int, int], int] = {}
-    for (a, b, c), mult in expansion.items():
-        key = (a - c, b - c)
-        out[key] = out.get(key, 0) + mult
-    return {k: c for k, c in out.items() if c}
+    if not is_symmetric(f):
+        raise NotSymmetricError("input is not a symmetric polynomial")
+    return _straighten_sum(f.items())
 
 
-def _two_row_sum(terms) -> dict[tuple[int, int], int]:
-    """Signed sum of two-row Schur labels, straightened, as reduced labels.
+def _product(f: SymPoly3, g: SymPoly3) -> dict[GLIndex, int]:
+    """Schur expansion of the product of two symmetric polynomials."""
+    return decompose_schur(mul_sym(f, g))
 
-    terms is an iterable of (coeff, a, b); labels that straighten to zero
-    drop out, others contribute coeff * sign at the straightened partition.
+
+def _weights(pairs) -> SignedWeightSum:
+    """(partition, c) pairs as a signed sum of sl3 weights.
+
+    A partition (l1, l2, l3) is the dominant weight (l1 - l2, l2 - l3).
+    Determinant powers act trivially on sl3 characters: partitions one
+    full column apart give the same weight, and the constructor adds
+    their multiplicities.
     """
-    out: dict[tuple[int, int], int] = {}
-    for coeff, a, b in terms:
-        st = straighten((a, b, 0))
-        if st is None:
-            continue
-        sign, part = st
-        key = (part[0] - part[2], part[1] - part[2])
-        out[key] = out.get(key, 0) + coeff * sign
-    return {k: c for k, c in out.items() if c}
+    return SignedWeightSum([((l1 - l2, l2 - l3), c)
+                            for (l1, l2, l3), c in pairs])
 
 
-def _product_reduced(f: SymPoly3, g: SymPoly3) -> dict[tuple[int, int], int]:
-    return _reduce_two_row(decompose_schur(mul_sym(f, g)))
+def psi_oracle(w: WeightLike, a: int) -> SignedWeightSum:
+    """Adams-operation plethysm of the irreducible character V_w.
+
+    Builds the character as s_{(m1+m2, m2, 0)}, applies x_i -> x_i^a and
+    decomposes back into Schur terms, returned as dominant sl3 weights
+    (l1 - l2, l2 - l3) with signed multiplicities.
+    """
+    wt = _as_dominant(w)
+    if not isinstance(a, int) or a < 1:
+        raise ValueError(f"Adams degree must be a positive integer, got {a!r}")
+    ch = schur((wt.m1 + wt.m2, wt.m2, 0))
+    return _weights(decompose_schur(adams(ch, a)).items())
 
 
 def verify_lemma_LR(m1: int, m2: int) -> bool:
     """Check the one- and two-box Pieri products against the case tables.
 
     Verifies s_{m1} * s_1, then s_{m1,m2} * s_2, s_{m1,m2} * s_{1,1} and
-    their difference, selecting the case row in the order m2 = 0, m2 = 1,
-    m1 = m2, generic (m1 - m2 >= 1 and m2 >= 2).  Index pairs falling
-    outside the partition range straighten, possibly to zero, before the
-    comparison, which happens at the two-row label level.
+    s_{m1,m2} * p_2, where p_2 = s_2 - s_{1,1}, selecting the case row in
+    the order m2 = 0, m2 = 1, m1 = m2, generic (m1 - m2 >= 1 and
+    m2 >= 2).  Index pairs falling outside the partition range
+    straighten, possibly to zero, and both sides are compared as signed
+    sums of sl3 weights.
     """
     if not (isinstance(m1, int) and isinstance(m2, int) and m1 >= m2 >= 0):
         raise ValueError(f"({m1}, {m2}) is not a two-row partition")
-    s = schur((m1, m2, 0))
-    s1 = schur((1, 0, 0))
-    s2 = schur((2, 0, 0))
-    s11 = schur((1, 1, 0))
 
-    lhs_one = _product_reduced(schur((m1, 0, 0)), s1)
-    if lhs_one != _two_row_sum([(1, m1 + 1, 0), (1, m1, 1)]):
+    def times(lam, g):
+        return _weights(_product(schur(lam), g).items())
+
+    def row(terms):  # (coeff, a, b) -> the sum of coeff * s_{a,b}
+        return _weights(_straighten_sum(((a, b, 0), c)
+                                        for c, a, b in terms).items())
+
+    one_box = row([(1, m1 + 1, 0), (1, m1, 1)])
+    if times((m1, 0, 0), schur((1, 0, 0))) != one_box:
         return False
 
     if m2 == 0:
@@ -249,54 +238,30 @@ def verify_lemma_LR(m1: int, m2: int) -> bool:
             [(1, m1 + 2, m2), (1, m1, m2 + 2), (1, m1 - 2, m2 - 2)],
         )
 
-    if _product_reduced(s, s2) != _two_row_sum(rows[0]):
-        return False
-    if _product_reduced(s, s11) != _two_row_sum(rows[1]):
-        return False
-    if _product_reduced(s, p_sub(s2, s11)) != _two_row_sum(rows[2]):
-        return False
-    return True
-
-
-def _psi2_reduced(a: int, b: int) -> dict[tuple[int, int], int]:
-    """Second Adams image of s_{a,b}, Schur-decomposed and two-row reduced."""
-    return _reduce_two_row(decompose_schur(adams(schur((a, b, 0)), 2)))
+    lam = (m1, m2, 0)
+    return (times(lam, schur((2, 0, 0))) == row(rows[0])
+            and times(lam, schur((1, 1, 0))) == row(rows[1])
+            and times(lam, _P2) == row(rows[2]))
 
 
 def verify_lemma_psi2_recurrence(m1: int, m2: int) -> bool:
     """Check the column-adding recurrence for the second Adams operation.
 
-    psi2(s_{m1,m2+1}) = psi2(s_{m1,m2}) * (s_2 - s_{1,1})
+    psi2(s_{m1,m2+1}) = psi2(s_{m1,m2}) * p_2
                         - psi2(s_{m1+1,m2}) - psi2(s_{m1-1,m2-1})
-    compared at the two-row label level; requires m1 >= m2 + 1 >= 1.
-    For m2 = 0 the last term has index (m1-1, -1), which straightens to
-    the zero polynomial, so it drops out on its own.
+    with p_2 = s_2 - s_{1,1}, compared as signed sums of sl3 weights;
+    requires m1 >= m2 + 1 >= 1.  For m2 = 0 the last term has index
+    (m1-1, -1), which straightens to the zero polynomial, so it drops out
+    on its own.
     """
     if not (isinstance(m1, int) and isinstance(m2, int) and m1 >= m2 + 1 >= 1):
         raise ValueError(f"recurrence needs m1 >= m2 + 1 >= 1, got ({m1}, {m2})")
-    lhs = _psi2_reduced(m1, m2 + 1)
-    prod = mul_sym(adams(schur((m1, m2, 0)), 2),
-                   p_sub(schur((2, 0, 0)), schur((1, 1, 0))))
-    rhs = _reduce_two_row(decompose_schur(prod))
-    for sub in (_psi2_reduced(m1 + 1, m2), _psi2_reduced(m1 - 1, m2 - 1)):
-        for key, c in sub.items():
-            rhs[key] = rhs.get(key, 0) - c
-    return lhs == {k: c for k, c in rhs.items() if c}
 
+    def psi2(a, b):
+        return adams(schur((a, b, 0)), 2)
 
-def psi_oracle(w: WeightLike, a: int) -> SignedWeightSum:
-    """Adams-operation plethysm of the irreducible character V_w.
-
-    Builds the character as s_{(m1+m2, m2, 0)}, applies x_i -> x_i^a and
-    decomposes back into Schur terms, returned as dominant sl3 weights
-    (l1 - l2, l2 - l3) with signed multiplicities.
-    """
-    wt = _as_dominant(w)
-    if not isinstance(a, int) or a < 1:
-        raise ValueError(f"Adams degree must be a positive integer, got {a!r}")
-    ch = schur((wt.m1 + wt.m2, wt.m2, 0))
-    expansion = decompose_schur(adams(ch, a))
-    # partitions one full column apart give the same weight; the
-    # constructor adds their multiplicities
-    return SignedWeightSum([((l1 - l2, l2 - l3), c)
-                            for (l1, l2, l3), c in expansion.items()])
+    rhs = list(_product(psi2(m1, m2), _P2).items())
+    for a, b in ((m1 + 1, m2), (m1 - 1, m2 - 1)):
+        rhs += [(part, -c) for part, c in decompose_schur(psi2(a, b)).items()]
+    lhs = decompose_schur(psi2(m1, m2 + 1))
+    return _weights(lhs.items()) == _weights(rhs)

@@ -1,5 +1,7 @@
 """Command line behavior: output forms, caching, table determinism."""
 
+import errno
+import io
 import json
 import os
 import subprocess
@@ -327,13 +329,20 @@ def test_cache_env_var(tmp_path, capsys, monkeypatch):
     assert len(list(cdir.iterdir())) == 1
 
 
-def test_cache_corruption_recovers(tmp_path, capsys):
+@pytest.mark.parametrize("entry", [
+    lambda key: "{broken json",
+    lambda key: "[1,2]",
+    lambda key: "null",
+    lambda key: '"x"',
+    lambda key: json.dumps({"key": key, "output": 5}),
+], ids=["broken-json", "list", "null", "string", "non-string-output"])
+def test_cache_corruption_recovers(tmp_path, capsys, entry):
     cdir = tmp_path / "cache"
     args = ["degrees", "--b", "3", "--m1", "2", "--m2", "0",
             "--cache", str(cdir)]
     code, first, _ = run(capsys, *args)
     (path,) = cdir.iterdir()
-    path.write_text("{broken json")
+    path.write_text(entry(json.loads(path.read_text())["key"]))
     code, second, err = run(capsys, *args)
     assert code == 0
     assert second == first
@@ -385,6 +394,25 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text(encoding="utf-8") == "-1*q^-6 + 1*q^-4 + 1*q^-2"
+
+
+def test_out_write_failure_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    args = ["jones", "--b", "3", "--m1", "1", "--m2", "0", "--out"]
+    # a path that cannot be opened for writing
+    code, out, err = run(capsys, *args, str(tmp_path))
+    assert code == 2 and out == ""
+    assert "cannot write --out" in err
+
+    # a file that opens but whose write fails, as on a full disk
+    class FullFile(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli, "open", lambda *a, **k: FullFile(),
+                        raising=False)
+    code, out, err = run(capsys, *args, str(tmp_path / "out.txt"))
+    assert code == 2 and out == ""
+    assert "cannot write --out" in err
 
 
 def test_cache_entry_vanishing_is_a_silent_miss(tmp_path, capsys,

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sl3jones import schur3
 from sl3jones.schur3 import (NotSymmetricError, adams, decompose_schur,
-                             is_symmetric, mul_sym, p_one, p_zero, psi_oracle,
-                             schur, straighten, verify_lemma_LR,
+                             is_symmetric, mul_sym, psi_oracle, schur,
+                             straighten, verify_lemma_LR,
                              verify_lemma_psi2_recurrence)
 from sl3jones.sl3rep import SignedWeightSum, dimension
 
@@ -22,7 +23,7 @@ def test_schur_fundamental():
 
 
 def test_schur_trivial():
-    assert schur((0, 0, 0)) == p_one()
+    assert schur((0, 0, 0)) == {(0, 0, 0): 1}
 
 
 def test_schur_complete_and_elementary():
@@ -85,7 +86,7 @@ def test_straighten_matches_alternant(lam):
     a_lam = alternant(tuple(lam[i] + (2, 1, 0)[i] for i in range(3)))
     st_ = straighten(lam)
     if st_ is None:
-        assert a_lam == p_zero()
+        assert a_lam == {}
     else:
         sign, part = st_
         expect = {m: sign * c
@@ -111,12 +112,12 @@ def test_schur_times_vandermonde_is_alternant():
 def test_is_symmetric():
     assert is_symmetric(schur((3, 1, 0)))
     assert not is_symmetric({(1, 0, 0): 1})
-    assert is_symmetric(p_zero())
+    assert is_symmetric({})
 
 
 def test_decompose_zero_and_one():
-    assert decompose_schur(p_zero()) == {}
-    assert decompose_schur(p_one()) == {(0, 0, 0): 1}
+    assert decompose_schur({}) == {}
+    assert decompose_schur({(0, 0, 0): 1}) == {(0, 0, 0): 1}
 
 
 def test_decompose_rejects_non_symmetric():
@@ -131,7 +132,7 @@ def test_decompose_product_round_trip(lam, mu):
     expansion = decompose_schur(prod)
     # multiplicities are nonnegative for a product of Schur polynomials
     assert all(c > 0 for c in expansion.values())
-    rebuilt = p_zero()
+    rebuilt = {}
     for nu, c in expansion.items():
         for mono, sc in schur(nu).items():
             rebuilt[mono] = rebuilt.get(mono, 0) + c * sc
@@ -139,9 +140,14 @@ def test_decompose_product_round_trip(lam, mu):
     assert rebuilt == prod
 
 
+def test_p2_is_second_adams_image_of_s1():
+    assert schur3._P2 == adams(schur((1, 0, 0)), 2)
+    assert decompose_schur(schur3._P2) == {(2, 0, 0): 1, (1, 1, 0): -1}
+
+
 def test_mul_identity():
     f = schur((2, 1, 0))
-    assert mul_sym(f, p_one()) == f
+    assert mul_sym(f, {(0, 0, 0): 1}) == f
 
 
 # -- adams operations -------------------------------------------------------
@@ -159,7 +165,7 @@ def test_adams_is_ring_map():
 
 def test_adams_rejects_bad_degree():
     with pytest.raises(ValueError):
-        adams(p_one(), 0)
+        adams({(0, 0, 0): 1}, 0)
 
 
 def test_psi_oracle_trivial():
@@ -227,6 +233,23 @@ def test_lemma_LR_range():
     for m1 in range(9):
         for m2 in range(m1 + 1):
             assert verify_lemma_LR(m1, m2), (m1, m2)
+
+
+@pytest.mark.parametrize("factor", [(1, 0, 0), (2, 0, 0), (1, 1, 0), "p2"])
+def test_lemma_checks_fail_on_a_dropped_product_term(monkeypatch, factor):
+    # each product row of the checks, the one-box row included, is compared
+    g = schur3._P2 if factor == "p2" else schur(factor)
+    full = schur3._product
+
+    def drop_highest(f, h):
+        out = full(f, h)
+        if h == g:
+            del out[max(out)]
+        return out
+
+    monkeypatch.setattr(schur3, "_product", drop_highest)
+    assert not verify_lemma_LR(5, 2)
+    assert verify_lemma_psi2_recurrence(3, 1) == (factor != "p2")
 
 
 def test_lemma_LR_rejects_non_partition():
