@@ -7,13 +7,13 @@ symmetric-function route (Adams operation plus Schur decomposition)
 cross-checks both the plethysm expansion and the invariant itself.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .jones import (ColoredJonesResult, DegreeReport, TorusKnotSpec,
                     degree_report, jones_rosso, jones_t2b)
 from .laurent import (InexactDivisionError, LaurentError,
                       NonIntegralExponentError, ScaledLaurent, ScaleError,
-                      ScaleMismatchError, UndefinedDegreeError)
+                      UndefinedDegreeError)
 from .plethysm2 import psi2_closed, psi2_schur_form, signed_dimension
 from .schur3 import (NotSymmetricError, adams, decompose_schur, is_symmetric,
                      psi_oracle, schur, straighten, verify_lemma_LR,
@@ -27,7 +27,6 @@ __all__ = [
     # laurent
     "ScaledLaurent",
     "LaurentError",
-    "ScaleMismatchError",
     "ScaleError",
     "InexactDivisionError",
     "NonIntegralExponentError",

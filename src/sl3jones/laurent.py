@@ -2,20 +2,23 @@
 
 A ScaledLaurent with scale D represents an element of Z[q^(1/D), q^(-1/D)]:
 the term c*q^(e/D) is stored as the dict entry e -> c with an arbitrary
-precision integer coefficient.  The zero polynomial is the empty term map,
-and zero coefficients are never stored.  All arithmetic is exact; division
-is long division from the lowest exponent and must leave no remainder.
+precision integer coefficient.  Like a Fraction, the value keeps D
+reduced: D is the smallest lattice the exponents live on, so equal values
+have equal scales and terms, and the zero polynomial (the empty term map)
+has scale 1.  Zero coefficients are never stored.  Binary operations work
+on the lcm of the two scales.  All arithmetic is exact; division is long
+division from the lowest exponent and must leave no remainder.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Iterator, Mapping, Union
+from math import gcd, lcm
+from typing import Union
 
 __all__ = [
     "LaurentError",
-    "ScaleMismatchError",
     "ScaleError",
     "InexactDivisionError",
     "NonIntegralExponentError",
@@ -28,12 +31,8 @@ class LaurentError(Exception):
     """Base class for ScaledLaurent arithmetic errors."""
 
 
-class ScaleMismatchError(LaurentError):
-    """Binary operation on polynomials with different scales."""
-
-
 class ScaleError(LaurentError):
-    """A rescale or exponent does not land on the requested lattice."""
+    """A scale that is not a positive integer."""
 
 
 class InexactDivisionError(LaurentError):
@@ -41,7 +40,7 @@ class InexactDivisionError(LaurentError):
 
 
 class NonIntegralExponentError(LaurentError):
-    """Integer reduction requested for a polynomial with fractional exponents."""
+    """A value that must have integer exponents has fractional ones."""
 
 
 class UndefinedDegreeError(LaurentError):
@@ -51,8 +50,13 @@ class UndefinedDegreeError(LaurentError):
 TermsLike = Union[Mapping[int, int], Iterable[tuple[int, int]]]
 
 
+def _stretch(terms: dict[int, int], k: int) -> dict[int, int]:
+    """terms with every exponent multiplied by k."""
+    return {e * k: c for e, c in terms.items()}
+
+
 class ScaledLaurent:
-    """Sparse exact Laurent polynomial in q^(1/scale).
+    """Sparse exact Laurent polynomial in q^(1/scale), scale reduced.
 
     Instances are immutable: every operation returns a new polynomial.
     """
@@ -78,6 +82,11 @@ class ScaledLaurent:
                 clean[e] = clean.get(e, 0) + c
         if 0 in clean.values():  # a scan is cheaper than always copying
             clean = {e: c for e, c in clean.items() if c}
+        if scale != 1:  # the integer lattice is always reduced
+            g = gcd(scale, *clean)
+            if g != 1:
+                scale //= g
+                clean = {e // g: c for e, c in clean.items()}
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "_terms", clean)
 
@@ -87,12 +96,12 @@ class ScaledLaurent:
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def zero(cls, scale: int = 6) -> "ScaledLaurent":
-        return cls(scale)
+    def zero(cls) -> "ScaledLaurent":
+        return cls(1)
 
     @classmethod
-    def one(cls, scale: int = 6) -> "ScaledLaurent":
-        return cls(scale, {0: 1})
+    def one(cls) -> "ScaledLaurent":
+        return cls(1, {0: 1})
 
     @classmethod
     def monomial(cls, scale: int, exponent: int, coeff: int = 1) -> "ScaledLaurent":
@@ -134,19 +143,22 @@ class ScaledLaurent:
 
     # -- ring operations ---------------------------------------------
 
-    def _check_scale(self, other: "ScaledLaurent") -> None:
-        if self.scale != other.scale:
-            raise ScaleMismatchError(
-                f"scale mismatch: {self.scale} vs {other.scale}")
+    def _common(self, other: "ScaledLaurent") -> tuple[int, dict, dict]:
+        """Both term maps on the lattice of lcm(self.scale, other.scale)."""
+        s, t = self.scale, other.scale
+        if s == t:
+            return s, self._terms, other._terms
+        m = lcm(s, t)
+        return m, _stretch(self._terms, m // s), _stretch(other._terms, m // t)
 
     def __add__(self, other: "ScaledLaurent") -> "ScaledLaurent":
         if not isinstance(other, ScaledLaurent):
             return NotImplemented
-        self._check_scale(other)
-        out = dict(self._terms)
-        for e, c in other._terms.items():
+        scale, a, b = self._common(other)
+        out = dict(a)
+        for e, c in b.items():
             out[e] = out.get(e, 0) + c
-        return ScaledLaurent(self.scale, out)
+        return ScaledLaurent(scale, out)
 
     def __neg__(self) -> "ScaledLaurent":
         return ScaledLaurent(self.scale, {e: -c for e, c in self._terms.items()})
@@ -168,8 +180,7 @@ class ScaledLaurent:
             return self.scalar_mul(other)
         if not isinstance(other, ScaledLaurent):
             return NotImplemented
-        self._check_scale(other)
-        a, b = self._terms, other._terms
+        scale, a, b = self._common(other)
         if len(a) > len(b):
             a, b = b, a
         out: dict[int, int] = {}
@@ -177,7 +188,7 @@ class ScaledLaurent:
             for e2, c2 in b.items():
                 k = e1 + e2
                 out[k] = out.get(k, 0) + c1 * c2
-        return ScaledLaurent(self.scale, out)
+        return ScaledLaurent(scale, out)
 
     def __rmul__(self, other) -> "ScaledLaurent":
         if isinstance(other, int):
@@ -193,13 +204,13 @@ class ScaledLaurent:
         """
         if not isinstance(divisor, ScaledLaurent):
             raise TypeError("divisor must be a ScaledLaurent")
-        self._check_scale(divisor)
         if not divisor._terms:
             raise ZeroDivisionError("division by the zero polynomial")
         if not self._terms:
-            return ScaledLaurent(self.scale)
-        f_items = sorted(self._terms.items())
-        g_items = sorted(divisor._terms.items())
+            return ScaledLaurent(1)
+        scale, f, g = self._common(divisor)
+        f_items = sorted(f.items())
+        g_items = sorted(g.items())
         f_lo = f_items[0][0]
         g_lo = g_items[0][0]
         step = 0
@@ -213,7 +224,7 @@ class ScaledLaurent:
             if r:
                 raise InexactDivisionError(
                     "monomial coefficient not divisible")
-            return ScaledLaurent(self.scale, {f_lo - g_lo: q})
+            return ScaledLaurent(scale, {f_lo - g_lo: q})
         nf = (f_items[-1][0] - f_lo) // step + 1
         ng = (g_items[-1][0] - g_lo) // step + 1
         if nf < ng:
@@ -239,7 +250,7 @@ class ScaledLaurent:
             raise InexactDivisionError("nonzero remainder")
         base = f_lo - g_lo
         return ScaledLaurent(
-            self.scale, {base + i * step: c for i, c in enumerate(quot) if c})
+            scale, {base + i * step: c for i, c in enumerate(quot) if c})
 
     # -- structure maps ----------------------------------------------
 
@@ -257,33 +268,6 @@ class ScaledLaurent:
             raise UndefinedDegreeError("degree of the zero polynomial")
         return (Fraction(min(self._terms), self.scale),
                 Fraction(max(self._terms), self.scale))
-
-    def rescale(self, new_scale: int) -> "ScaledLaurent":
-        """Re-express on the lattice Z/new_scale.
-
-        Allowed whenever every exponent e/scale equals some e'/new_scale
-        with integer e'; otherwise raises ScaleError.
-        """
-        if not isinstance(new_scale, int) or new_scale < 1:
-            raise ScaleError(f"scale must be a positive integer, got {new_scale!r}")
-        if new_scale == self.scale:
-            return self
-        out = {}
-        for e, c in self._terms.items():
-            num = e * new_scale
-            q, r = divmod(num, self.scale)
-            if r:
-                raise ScaleError(
-                    f"exponent {e}/{self.scale} not representable at scale {new_scale}")
-            out[q] = c
-        return ScaledLaurent(new_scale, out)
-
-    def as_integer_laurent(self) -> "ScaledLaurent":
-        """Reduce to scale 1; every exponent must be an integer."""
-        try:
-            return self.rescale(1)
-        except ScaleError as exc:
-            raise NonIntegralExponentError(str(exc)) from None
 
     # -- serialization -----------------------------------------------
 
@@ -321,6 +305,7 @@ class ScaledLaurent:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "ScaledLaurent":
+        """Inverse of to_json_dict; any scale is accepted and reduced."""
         scale = data["scale"]
         terms = [(int(e), int(c)) for e, c in data["terms"]]
         return cls(scale, terms)

@@ -4,8 +4,9 @@ Dominant weights are written in the fundamental-weight basis, so
 Weight(m1, m2) stands for m1*w1 + m2*w2.  The invariant pairing has Gram
 matrix [[2/3, 1/3], [1/3, 2/3]] on (w1, w2); the simple roots are
 a1 = 2*w1 - w2 and a2 = -w1 + 2*w2.  Quantum dimensions and twists are
-ScaledLaurent values at scale 6, so half- and third-integer exponents
-stay exact integers on the internal lattice.
+ScaledLaurent values, each on the smallest lattice its exponents live on:
+quantum integers on the 1/2 lattice, twist powers theta^(num/den) on the
+1/(3*den) lattice.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Union
 
-from .laurent import ScaledLaurent, ScaleError
+from .laurent import ScaledLaurent
 
 __all__ = [
     "Weight",
@@ -84,18 +85,14 @@ def pairing(u: tuple[int, int], v: tuple[int, int]) -> Fraction:
     return Fraction(4 * u1 * v1 + 2 * (u1 * v2 + u2 * v1) + 4 * u2 * v2, 6)
 
 
-def qint(n: int, scale: int = 6) -> ScaledLaurent:
+def qint(n: int) -> ScaledLaurent:
     """Balanced quantum integer [n] = q^((n-1)/2) + ... + q^(-(n-1)/2).
 
-    [0] is the zero polynomial and [1] = 1.  The scale must be divisible
-    by 2 so the half-integer exponents are representable.
+    [0] is the zero polynomial and [1] = 1.
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"[n] needs an integer n >= 0, got {n!r}")
-    if scale % 2:
-        raise ScaleError(f"scale {scale} cannot represent half-integer exponents")
-    half = scale // 2
-    return ScaledLaurent(scale, {half * (n - 1 - 2 * i): 1 for i in range(n)})
+    return ScaledLaurent(2, {n - 1 - 2 * i: 1 for i in range(n)})
 
 
 def dimension(w: WeightLike) -> int:
@@ -104,14 +101,14 @@ def dimension(w: WeightLike) -> int:
     return (m1 + 1) * (m2 + 1) * (m1 + m2 + 2) // 2
 
 
-def qdim_closed(w: WeightLike, scale: int = 6) -> ScaledLaurent:
+def qdim_closed(w: WeightLike) -> ScaledLaurent:
     """Quantum dimension [m1+1][m2+1][m1+m2+2]/[2], an exact quotient."""
     m1, m2 = _as_dominant(w)
-    prod = qint(m1 + 1, scale) * qint(m2 + 1, scale) * qint(m1 + m2 + 2, scale)
-    return prod.div_exact(qint(2, scale))
+    prod = qint(m1 + 1) * qint(m2 + 1) * qint(m1 + m2 + 2)
+    return prod.div_exact(qint(2))
 
 
-def qdim_weyl(w: WeightLike, scale: int = 6) -> ScaledLaurent:
+def qdim_weyl(w: WeightLike) -> ScaledLaurent:
     """Quantum dimension via the Weyl-form product over positive roots.
 
     Independent of qdim_closed: evaluates prod [(w+rho, a)] / prod [(rho, a)]
@@ -119,15 +116,15 @@ def qdim_weyl(w: WeightLike, scale: int = 6) -> ScaledLaurent:
     """
     wt = _as_dominant(w)
     shifted = (wt.m1 + ROOT_DATA.rho[0], wt.m2 + ROOT_DATA.rho[1])
-    num = ScaledLaurent.one(scale)
-    den = ScaledLaurent.one(scale)
+    num = ScaledLaurent.one()
+    den = ScaledLaurent.one()
     for alpha in ROOT_DATA.positive_roots:
         top = pairing(shifted, alpha)
         bot = pairing(ROOT_DATA.rho, alpha)
         if top.denominator != 1 or bot.denominator != 1:
             raise ArithmeticError(f"non-integral root pairing for weight {wt}")
-        num = num * qint(int(top), scale)
-        den = den * qint(int(bot), scale)
+        num = num * qint(int(top))
+        den = den * qint(int(bot))
     return num.div_exact(den)
 
 
@@ -144,24 +141,16 @@ def twist_exponent(w: WeightLike) -> int:
     return _twist3(*_as_dominant(w))
 
 
-def twist_monomial(w: WeightLike, num: int, den: int = 1,
-                   scale: int = 6) -> ScaledLaurent:
+def twist_monomial(w: WeightLike, num: int, den: int = 1) -> ScaledLaurent:
     """The twist power theta_w^(num/den) as a one-term polynomial.
 
-    theta_w = q^((m1^2 + m1*m2 + m2^2)/3 + m1 + m2).  The scaled exponent
-    must land on the integer lattice of the requested scale; den in {1, 2}
-    at scale 6 always does, other combinations raise ScaleError when they
-    do not.
+    theta_w = q^((m1^2 + m1*m2 + m2^2)/3 + m1 + m2), so the power is
+    q^(num * twist_exponent(w) / (3 * den)), on the 1/(3*den) lattice or
+    a coarser one.
     """
     if not isinstance(num, int) or not isinstance(den, int) or den < 1:
         raise ValueError(f"twist power {num!r}/{den!r} is not a valid fraction")
-    e_num = scale * num * twist_exponent(w)
-    q, r = divmod(e_num, 3 * den)
-    if r:
-        raise ScaleError(
-            f"twist exponent {num}/{den} for {tuple(w)} is not on the "
-            f"1/{scale} lattice")
-    return ScaledLaurent(scale, {q: 1})
+    return ScaledLaurent(3 * den, {num * twist_exponent(w): 1})
 
 
 def twist_weyl_check(w: WeightLike) -> bool:

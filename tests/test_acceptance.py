@@ -67,7 +67,7 @@ def test_05_schur_form_equivalence():
 
 
 def test_06_unknot_normalization():
-    one = ScaledLaurent.one(1)
+    one = ScaledLaurent.one()
     ok = all(jones_t2b(1, (m1, m2)).value == one
              for m1 in range(16) for m2 in range(16))
     verdict(6, "unknot normalization", ok, "256 colors")

@@ -1,0 +1,62 @@
+"""The names the benchmark harness looks up in the package must resolve.
+
+bench/tracing.py rebinds package functions and methods by name, and
+bench/workloads.py sends library calls by function name and CLI requests
+by argv.  A renamed or deleted name would otherwise show only in a traced
+benchmark run.  The two harness modules are loaded from their files and
+never modified.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import sl3jones
+from sl3jones import cli
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  BENCH / f"{name}.py")
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # dataclasses look their module up here
+    spec.loader.exec_module(mod)
+    return mod
+
+
+tracing = _load("tracing")
+workloads = _load("workloads")
+REQUESTS = workloads.all_reference_requests()
+
+
+@pytest.mark.parametrize("modname, attr",
+                         [(m, a) for m, a, _, _ in tracing.FUNCTIONS])
+def test_traced_function_resolves(modname, attr):
+    assert callable(getattr(importlib.import_module(modname), attr))
+
+
+@pytest.mark.parametrize("modname, clsname, meth",
+                         [(m, c, f) for m, c, f, _, _ in tracing.METHODS])
+def test_traced_method_is_defined_on_its_class(modname, clsname, meth):
+    cls = getattr(importlib.import_module(modname), clsname)
+    assert callable(vars(cls).get(meth))
+
+
+@pytest.mark.parametrize("fn", sorted({r.fn for r in REQUESTS
+                                       if r.kind == "lib"}))
+def test_library_request_resolves(fn):
+    assert callable(getattr(sl3jones, fn))
+
+
+def test_cli_requests_parse():
+    cli_reqs = [r for r in REQUESTS if r.kind == "cli"]
+    assert cli_reqs
+    for r in cli_reqs:
+        argv = list(r.argv) + (["--out", "o"] if r.out else []) + (
+            ["--cache", "c"] if r.cache else [])
+        cli._build_parser().parse_args(argv)

@@ -88,6 +88,31 @@ def test_twist_fractional(capsys):
     assert out == "1*q^(4/3)\n"
 
 
+def test_twist_any_denominator(capsys):
+    # theta(1,0)^(1/7) = q^(4/21): off the 1/6 lattice, still exact
+    code, out, err = run(capsys, "twist", "--m1", "1", "--m2", "0",
+                         "--den", "7")
+    assert code == 0
+    assert out == "1*q^(4/21)\n"
+    assert err == ""
+
+
+@pytest.mark.parametrize("argv, expect", [
+    (("qdim", "--m1", "1", "--m2", "0"),
+     {"scale": 1, "terms": [[-1, "1"], [0, "1"], [1, "1"]]}),
+    (("qdim", "--m1", "0", "--m2", "0"), {"scale": 1, "terms": [[0, "1"]]}),
+    (("twist", "--m1", "1", "--m2", "0"), {"scale": 3, "terms": [[4, "1"]]}),
+    (("twist", "--m1", "1", "--m2", "1"), {"scale": 1, "terms": [[3, "1"]]}),
+    (("twist", "--m1", "2", "--m2", "0", "--den", "2"),
+     {"scale": 3, "terms": [[5, "1"]]}),
+])
+def test_qdim_twist_json_reduced(capsys, argv, expect):
+    # the scale is the smallest lattice the value lives on
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out) == expect
+
+
 def test_degrees_text(capsys):
     code, out, _ = run(capsys, "degrees", "--b", "3", "--m1", "1", "--m2",
                        "0", "--var", "qinv")
@@ -153,12 +178,28 @@ def test_selfcheck_max_out_of_range(capsys):
         cli._enforce_limit(args)
 
 
-def test_usage_error_twist_off_lattice(capsys):
+def test_usage_error_twist_bad_denominator(capsys):
     code, out, err = run(capsys, "twist", "--m1", "1", "--m2", "0",
-                         "--den", "7")
+                         "--den", "0")
     assert code == 2
     assert out == ""
     assert "usage error" in err
+
+
+def test_closed_stdout_exits_quietly():
+    # more output than a pipe buffer holds (64 KiB), so the writer is
+    # still writing when the reader goes away, as with `| head -c 10`
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sl3jones.cli", "jones", "--b", "3",
+         "--m1", "40", "--m2", "40"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.stdout.read(10) == b"1*q^-10000"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert err == b""
 
 
 def test_usage_error_out_missing_directory(tmp_path, capsys):

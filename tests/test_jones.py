@@ -18,17 +18,19 @@ from sl3jones.sl3rep import (SignedWeightSum, Weight, qdim_closed,
 def literal_sum(expansion, a, b, w):
     """Direct assembly of the Rosso-Jones sum, one quantum dimension at a time.
 
-    Slow reference: multiplies qdim(mu) by the twist power per term on the
-    1/(6a) lattice, applies the color's twist and divides by qdim(w) with
-    the general long division, sharing no code with the stride division.
+    Slow reference: multiplies qdim(mu) by the twist power per term, each
+    on the lattice it lives on, applies the color's twist and divides by
+    qdim(w) with the general long division, sharing no code with the
+    stride division.  The value must come out on the integer lattice.
     """
-    scale = 6 * a
-    total = ScaledLaurent.zero(scale)
+    total = ScaledLaurent.zero()
     for mu, c in expansion.items():
-        term = qdim_closed(mu, scale) * twist_monomial(mu, b, a, scale)
+        term = qdim_closed(mu) * twist_monomial(mu, b, a)
         total = total + term.scalar_mul(c)
-    shifted = total * twist_monomial(w, -a * b, 1, scale)
-    return shifted.div_exact(qdim_closed(w, scale)).as_integer_laurent()
+    shifted = total * twist_monomial(w, -a * b)
+    value = shifted.div_exact(qdim_closed(w))
+    assert value.scale == 1
+    return value
 
 
 def literal_t2b(b, w):
@@ -71,12 +73,12 @@ def test_unknot_b1():
     for m1 in range(8):
         for m2 in range(8):
             v = jones_t2b(1, (m1, m2)).value
-            assert v == ScaledLaurent.one(1), (m1, m2)
+            assert v == ScaledLaurent.one(), (m1, m2)
 
 
 def test_trivial_color():
     for b in (1, 3, 5, 7):
-        assert jones_t2b(b, (0, 0)).value == ScaledLaurent.one(1)
+        assert jones_t2b(b, (0, 0)).value == ScaledLaurent.one()
 
 
 def test_eval_one_normalization():
@@ -237,7 +239,7 @@ def test_degree_report_fields():
 
 
 def test_degree_report_zero_rejected():
-    res = ColoredJonesResult(ScaledLaurent.zero(1), TorusKnotSpec(1, 1),
+    res = ColoredJonesResult(ScaledLaurent.zero(), TorusKnotSpec(1, 1),
                              (0, 0))
     with pytest.raises(UndefinedDegreeError):
         degree_report(res)

@@ -1,11 +1,13 @@
 """Exact Laurent arithmetic on the fractional exponent lattice."""
 
+from fractions import Fraction
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl3jones.laurent import (InexactDivisionError, NonIntegralExponentError,
-                              ScaledLaurent, ScaleError, ScaleMismatchError,
+from sl3jones.laurent import (InexactDivisionError, ScaledLaurent, ScaleError,
                               UndefinedDegreeError)
 
 
@@ -20,6 +22,38 @@ polys = st.dictionaries(
 ).map(lambda d: ScaledLaurent(6, d))
 
 nonzero_polys = polys.filter(bool)
+
+# polynomials on assorted lattices, for the mixed-lattice operations
+lattice_polys = st.builds(
+    ScaledLaurent,
+    st.sampled_from([1, 2, 3, 4, 5, 6, 12]),
+    st.dictionaries(st.integers(min_value=-30, max_value=30),
+                    st.integers(min_value=-9, max_value=9), max_size=6),
+)
+
+
+def ref(f):
+    """f as a map from Fraction exponents to coefficients."""
+    return {Fraction(e, f.scale): c for e, c in f.items()}
+
+
+def ref_add(f, g):
+    out = dict(f)
+    for e, c in g.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_mul(f, g):
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def is_reduced(f):
+    return gcd(f.scale, *(e for e, _ in f.items())) == 1
 
 
 # -- construction and basic inspection ---------------------------------
@@ -66,9 +100,42 @@ def test_immutable():
 
 
 def test_coefficient_lookup():
+    # 5*q^(1/2) - 5*q^(-1/2): stored on the 1/2 lattice
     f = L({3: 5, -3: -5})
-    assert f.coefficient(3) == 5
+    assert f.scale == 2
+    assert f.coefficient(1) == 5
+    assert f.coefficient(-1) == -5
     assert f.coefficient(0) == 0
+
+
+# -- the reduced form -----------------------------------------------------
+
+
+@settings(max_examples=120)
+@given(st.integers(min_value=1, max_value=12),
+       st.integers(min_value=1, max_value=12),
+       st.dictionaries(st.integers(min_value=-40, max_value=40),
+                       st.integers(min_value=-9, max_value=9), max_size=6))
+def test_scale_is_reduced(k, s, terms):
+    f = ScaledLaurent(s, terms)
+    g = ScaledLaurent(k * s, {k * e: c for e, c in terms.items()})
+    assert g == f
+    assert (g.scale, g.items()) == (f.scale, f.items())
+    assert hash(g) == hash(f)
+    assert is_reduced(f)
+    assert ref(f) == {Fraction(e, s): c for e, c in terms.items() if c}
+
+
+def test_reduced_examples():
+    assert ScaledLaurent(6, {6: 1}) == ScaledLaurent(1, {1: 1})
+    assert ScaledLaurent(6, {6: 1}).scale == 1
+    assert ScaledLaurent(6, {3: 1, -3: 1}).items() == ((-1, 1), (1, 1))
+    assert ScaledLaurent(6, {4: 1, 2: 1}).scale == 3
+    assert ScaledLaurent(12).scale == 1
+    assert ScaledLaurent.zero().scale == ScaledLaurent.one().scale == 1
+    # cancellation can coarsen the lattice
+    f = ScaledLaurent(2, {1: 1, 2: 1})
+    assert (f - ScaledLaurent(2, {1: 1})).scale == 1
 
 
 # -- ring axioms (property based) ---------------------------------------
@@ -129,11 +196,27 @@ def test_scalar_mul_examples():
     assert L({3: 1}).scalar_mul(0) == ScaledLaurent.zero()
 
 
-def test_scale_mismatch_rejected():
-    with pytest.raises(ScaleMismatchError):
-        L({0: 1}, scale=6) + L({0: 1}, scale=12)
-    with pytest.raises(ScaleMismatchError):
-        L({0: 1}, scale=6) * L({0: 1}, scale=12)
+def test_mixed_lattices():
+    # q^(1/2) and q^(1/3) meet on the 1/6 lattice
+    half, third = L({1: 1}, scale=2), L({1: 1}, scale=3)
+    assert half + third == L({3: 1, 2: 1})
+    assert half * third == L({5: 1})
+    assert (half * third).div_exact(third) == half
+    assert L({0: 1}, scale=6) + L({0: 1}, scale=12) == L({0: 2}, scale=1)
+
+
+@settings(max_examples=150)
+@given(lattice_polys, lattice_polys)
+def test_mixed_lattice_ops_match_fraction_reference(f, g):
+    total, prod = f + g, f * g
+    assert ref(total) == ref_add(ref(f), ref(g))
+    assert ref(f - g) == ref_add(ref(f), ref(-g))
+    assert ref(prod) == ref_mul(ref(f), ref(g))
+    assert is_reduced(total) and is_reduced(prod)
+    if g:
+        quot = prod.div_exact(g)
+        assert quot == f and is_reduced(quot)
+        assert ref_mul(ref(quot), ref(g)) == ref(prod)
 
 
 # -- exact division ------------------------------------------------------
@@ -202,29 +285,10 @@ def test_eval_one_zero():
 
 
 def test_degree_span():
-    from fractions import Fraction
     two = L({3: 1, -3: 1})
     assert two.degree_span() == (Fraction(-1, 2), Fraction(1, 2))
     with pytest.raises(UndefinedDegreeError):
         ScaledLaurent.zero().degree_span()
-
-
-# -- rescale and integer reduction --------------------------------------
-
-
-def test_rescale():
-    assert L({6: 1}).rescale(12) == ScaledLaurent(12, {12: 1})
-    assert ScaledLaurent(12, {12: 1}).rescale(6) == L({6: 1})
-    assert L({3: 1}).rescale(6) == L({3: 1})
-    with pytest.raises(ScaleError):
-        L({3: 1}).rescale(1)
-
-
-def test_as_integer_laurent():
-    f = L({6: 1, -12: 3})
-    assert f.as_integer_laurent() == ScaledLaurent(1, {1: 1, -2: 3})
-    with pytest.raises(NonIntegralExponentError):
-        L({3: 1}).as_integer_laurent()
 
 
 # -- text and JSON forms -------------------------------------------------
@@ -232,7 +296,7 @@ def test_as_integer_laurent():
 
 def test_to_text():
     assert ScaledLaurent.zero().to_text() == "0"
-    assert ScaledLaurent.one(1).to_text() == "1*q^0"
+    assert ScaledLaurent.one().to_text() == "1*q^0"
     assert L({24: 1}, scale=1).to_text() == "1*q^24"
     f = ScaledLaurent(1, {24: 1, 30: 1, 32: 1, 35: -1})
     assert f.to_text() == "1*q^24 + 1*q^30 + 1*q^32 - 1*q^35"
@@ -241,11 +305,23 @@ def test_to_text():
 
 
 @settings(max_examples=120)
-@given(polys)
+@given(lattice_polys)
 def test_json_round_trip(f):
     assert ScaledLaurent.from_json_dict(f.to_json_dict()) == f
 
 
 def test_json_shape():
+    # reduced units: q - 2q^-1 is on the integer lattice
     d = L({6: 1, -6: -2}).to_json_dict()
-    assert d == {"scale": 6, "terms": [[-6, "-2"], [6, "1"]]}
+    assert d == {"scale": 1, "terms": [[-1, "-2"], [1, "1"]]}
+    assert L({3: 1, -9: 1}).to_json_dict() == {
+        "scale": 2, "terms": [[-3, "1"], [1, "1"]]}
+
+
+def test_json_old_fixed_lattice_form_parses():
+    # JSON written on the fixed 1/6 lattice still reads to the same value
+    old = {"scale": 6, "terms": [[-6, "1"], [0, "1"], [6, "1"]]}
+    f = ScaledLaurent.from_json_dict(old)
+    assert f == ScaledLaurent(1, {-1: 1, 0: 1, 1: 1})
+    assert f.to_json_dict() == {
+        "scale": 1, "terms": [[-1, "1"], [0, "1"], [1, "1"]]}

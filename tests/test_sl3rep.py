@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl3jones.laurent import ScaledLaurent, ScaleError
+from sl3jones.laurent import ScaledLaurent
 from sl3jones.sl3rep import (ROOT_DATA, SignedWeightSum, Weight, dimension,
                              pairing, qdim_closed, qdim_weyl, qint,
                              twist_exponent, twist_monomial, twist_weyl_check)
@@ -50,6 +50,8 @@ def test_qint_small():
     assert qint(2) == ScaledLaurent(6, {3: 1, -3: 1})
     assert qint(3) == ScaledLaurent(6, {6: 1, 0: 1, -6: 1})
     assert qint(0) == ScaledLaurent.zero()
+    # even n needs the 1/2 lattice, odd n lives on the integers
+    assert [qint(n).scale for n in range(5)] == [1, 1, 2, 1, 2]
 
 
 def test_qint_product():
@@ -64,11 +66,6 @@ def test_qint_palindromic():
         f = qint(n)
         assert f == f.mirror()
         assert f.eval_one() == n
-
-
-def test_qint_odd_scale_rejected():
-    with pytest.raises(ScaleError):
-        qint(2, scale=3)
 
 
 # -- quantum dimensions --------------------------------------------------
@@ -128,13 +125,27 @@ def test_twist_examples():
 
 
 def test_twist_halves_and_denominators():
-    # theta(2,0)^(1/2) = q^(10/3): exponent 20 on the sixth-lattice
-    assert twist_monomial((2, 0), 1, 2) == ScaledLaurent(6, {10: 1})
-    # theta(1,0)^(1/3) would need q^(4/9), off the lattice
-    with pytest.raises(ScaleError):
-        twist_monomial((1, 0), 1, 3)
-    # but it fits on a refined lattice
-    assert twist_monomial((1, 0), 1, 3, scale=18) == ScaledLaurent(18, {8: 1})
+    # theta(2,0)^(1/2) = q^(5/3): exponent 5 on the 1/3 lattice
+    half = twist_monomial((2, 0), 1, 2)
+    assert (half.scale, half.items()) == (3, ((5, 1),))
+    # theta(1,0)^(1/3) = q^(4/9) and theta(1,0)^(1/7) = q^(4/21)
+    assert twist_monomial((1, 0), 1, 3) == ScaledLaurent(9, {4: 1})
+    assert twist_monomial((1, 0), 1, 7).to_text() == "1*q^(4/21)"
+    # theta(1,1)^(1/3) = q: the lattice coarsens to the integers
+    assert twist_monomial((1, 1), 1, 3).items() == ((1, 1),)
+    with pytest.raises(ValueError):
+        twist_monomial((1, 0), 1, 0)
+
+
+@pytest.mark.parametrize("a, b", [(3, 4), (3, 5), (4, 5)])
+def test_twist_torus_powers(a, b):
+    # the Rosso-Jones weight theta_mu^(b/a) of T(a, b) is q^(b*t/(3a))
+    for m1 in range(6):
+        for m2 in range(6):
+            t = twist_monomial((m1, m2), b, a)
+            e = Fraction(b * twist_exponent((m1, m2)), 3 * a)
+            assert t.items() == ((e.numerator, 1),)
+            assert t.scale == e.denominator
 
 
 def test_twist_multiplicativity():
