@@ -116,9 +116,7 @@ def _render(args, value) -> str:
     """value as text or, with --format json, as compact JSON; CSV as is."""
     if isinstance(value, str):
         return value
-    if args.format == "json":
-        return json.dumps(value.to_json_dict(), separators=(",", ":"))
-    return value.to_text()
+    return value.to_json() if args.format == "json" else value.to_text()
 
 
 def _emit(args, text: str) -> int:

@@ -10,7 +10,9 @@ So each mu adds eight signed monomials to one sum on the 1/(6a) lattice,
 which is divided by the three factors {n} = q^(-n/2) (q^n - 1) of qdim(w).
 Dividing by q^n - 1 is a negated prefix sum along stride n of the dense
 coefficient list; each division must leave a zero remainder, and the
-result must reduce to integer exponents.
+result must reduce to integer exponents.  The result is built once, from
+the dense list: its nonzero entries, in ascending order, become the
+value's term dict with no second check or copy.
 
 Internally everything is a polynomial in q; results for the 1/q
 convention are obtained by mirroring at the edge, and the variable tag
@@ -20,7 +22,7 @@ travels with the result.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from itertools import accumulate
+from itertools import accumulate, compress
 from math import gcd
 
 from .laurent import (InexactDivisionError, NonIntegralExponentError,
@@ -80,13 +82,16 @@ class ColoredJonesResult:
     def to_text(self) -> str:
         return self.value.to_text()
 
+    def to_json(self) -> str:
+        """Compact JSON: knot, color and variable, then the value's keys."""
+        return (f'{{"knot":{{"a":{self.knot.a},"b":{self.knot.b}}},'
+                f'"color":[{self.color.m1},{self.color.m2}],'
+                f'"variable":"{self.variable}",{self.value.to_json()[1:]}')
+
     def to_json_dict(self) -> dict:
-        return {
-            "knot": {"a": self.knot.a, "b": self.knot.b},
-            "color": [self.color.m1, self.color.m2],
-            "variable": self.variable,
-            **self.value.to_json_dict(),
-        }
+        import json
+
+        return json.loads(self.to_json())
 
 
 @dataclass(frozen=True)
@@ -106,6 +111,11 @@ class DegreeReport:
         """The fields in declaration order, tuples as lists."""
         return {k: list(v) if isinstance(v, tuple) else v
                 for k, v in asdict(self).items()}
+
+    def to_json(self) -> str:
+        import json
+
+        return json.dumps(self.to_json_dict(), separators=(",", ":"))
 
     def to_text(self) -> str:
         """One "name value" line per field, lists comma-joined."""
@@ -132,13 +142,17 @@ def _rosso_jones(expansion: SignedWeightSum, a: int, b: int,
     """
     scale, h = 6 * a, 3 * a
     acc: dict[int, int] = {}
-    for (n1, n2), c in expansion.items():
+    get = acc.get
+    # the sum is order-free, so the terms are taken unsorted
+    for (n1, n2), c in expansion._terms.items():
         t = 2 * b * _twist3(n1, n2)
         ea, eb, ec = h * (n1 + 1), h * (n2 + 1), h * (n1 + n2 + 2)
         for pa, sa in ((t + ea, c), (t - ea, -c)):
             for pb, sb in ((pa + eb, sa), (pa - eb, -sa)):
-                for k, s in ((pb + ec, sb), (pb - ec, -sb)):
-                    acc[k] = acc.get(k, 0) + s
+                k = pb + ec
+                acc[k] = get(k, 0) + sb
+                k = pb - ec
+                acc[k] = get(k, 0) - sb
     acc = {e: c for e, c in acc.items() if c}
     m1, m2 = color
     ns = (m1 + 1, m2 + 1, m1 + m2 + 2)
@@ -157,8 +171,10 @@ def _rosso_jones(expansion: SignedWeightSum, a: int, b: int,
         raise NonIntegralExponentError(
             f"T({a},{b}) at color {tuple(color)} has fractional exponents")
     base, step = base // scale, step // scale
-    return ScaledLaurent(1, {base + i * step: c
-                             for i, c in enumerate(dense) if c})
+    # scale 1, ascending int exponents, the zero entries left out
+    exponents = range(base, base + step * len(dense), step)
+    return ScaledLaurent._trusted(1, dict(compress(zip(exponents, dense),
+                                                   dense)))
 
 
 def jones_t2b(b: int, color: WeightLike) -> ColoredJonesResult:

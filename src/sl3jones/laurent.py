@@ -8,6 +8,15 @@ have equal scales and terms, and the zero polynomial (the empty term map)
 has scale 1.  Zero coefficients are never stored.  Binary operations work
 on the lcm of the two scales.  All arithmetic is exact; division is long
 division from the lowest exponent and must leave no remainder.
+
+The public constructor checks and normalizes its input.  An internal
+caller that already guarantees the normal form (scale reduced, no zero
+coefficient, every term an int pair) builds the value with
+ScaledLaurent._trusted instead, which runs no check and keeps the dict
+it is given.  to_json is the one JSON writer: it writes the text straight
+from the sorted terms, and to_json_dict is its parse.  The package's
+methods that need the json module import it when called, so importing
+the library alone does not load it.
 """
 
 from __future__ import annotations
@@ -50,6 +59,12 @@ class UndefinedDegreeError(LaurentError):
 TermsLike = Union[Mapping[int, int], Iterable[tuple[int, int]]]
 
 
+def _fraction_text(e: int, scale: int) -> str:
+    """The exponent e/scale in lowest terms, parenthesized if fractional."""
+    frac = Fraction(e, scale)
+    return str(frac) if frac.denominator == 1 else f"({frac})"
+
+
 def _stretch(terms: dict[int, int], k: int) -> dict[int, int]:
     """terms with every exponent multiplied by k."""
     return {e * k: c for e, c in terms.items()}
@@ -89,6 +104,21 @@ class ScaledLaurent:
                 clean = {e // g: c for e, c in clean.items()}
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "_terms", clean)
+
+    @classmethod
+    def _trusted(cls, scale: int, terms: dict[int, int]) -> "ScaledLaurent":
+        """terms on the 1/scale lattice, built with no check and no copy.
+
+        The caller guarantees what the public constructor would establish:
+        scale is reduced (its gcd with all the exponents is 1), no
+        coefficient is zero, and every term is an int pair.
+        terms is kept as the value's own dict, so the caller must not
+        change it afterwards.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "_terms", terms)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("ScaledLaurent is immutable")
@@ -279,29 +309,33 @@ class ScaledLaurent:
         """
         if not self._terms:
             return "0"
-        parts: list[str] = []
-        for e, c in self.items():
-            if self.scale == 1:
-                es = str(e)
-            else:
-                frac = Fraction(e, self.scale)
-                if frac.denominator == 1:
-                    es = str(frac.numerator)
-                else:
-                    es = f"({frac.numerator}/{frac.denominator})"
-            term = f"{abs(c)}*q^{es}"
-            if not parts:
-                parts.append(term if c > 0 else f"-{term}")
-            else:
-                parts.append(f" + {term}" if c > 0 else f" - {term}")
+        scale = self.scale
+        # No name holds the sorted items, so they are freed before the
+        # join, and the first separator (a bare sign, or none for a plus)
+        # is fixed on its own piece: the text is never copied whole.
+        parts = [f" + {c}*q^{e}" if c > 0 else f" - {-c}*q^{e}"
+                 for e, c in (self.items() if scale == 1 else
+                              ((_fraction_text(e, scale), c)
+                               for e, c in self.items()))]
+        first = parts[0]
+        parts[0] = first[3:] if first[1] == "+" else "-" + first[3:]
         return "".join(parts)
 
+    def to_json(self) -> str:
+        """Compact JSON: {"scale":S,"terms":[[exponent,"coefficient"],...]}.
+
+        Ascending exponents; coefficients are strings so that no reader
+        loses digits.  Written directly, byte for byte what json.dumps with
+        separators (",", ":") gives for to_json_dict.
+        """
+        terms = ",".join([f'[{e},"{c}"]' for e, c in self.items()])
+        return f'{{"scale":{self.scale},"terms":[{terms}]}}'
+
     def to_json_dict(self) -> dict:
-        """JSON form: scale plus [exponent, coefficient-string] pairs."""
-        return {
-            "scale": self.scale,
-            "terms": [[e, str(c)] for e, c in self.items()],
-        }
+        """JSON form as a dict: scale plus [exponent, coefficient-string]."""
+        import json
+
+        return json.loads(self.to_json())
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "ScaledLaurent":

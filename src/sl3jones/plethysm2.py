@@ -12,7 +12,8 @@ a third route.
 
 from __future__ import annotations
 
-from .sl3rep import SignedWeightSum, WeightLike, _as_dominant, dimension
+from .sl3rep import (SignedWeightSum, Weight, WeightLike, _as_dominant,
+                     dimension)
 
 __all__ = [
     "psi2_closed",
@@ -30,14 +31,15 @@ def psi2_closed(w: WeightLike) -> SignedWeightSum:
     the simple roots, and the third subtracts the k = 0 diagonal.
     """
     m1, m2 = _as_dominant(w)
-    acc: dict[tuple[int, int], int] = {}
+    acc: dict[Weight, int] = {}
+    get, make = acc.get, Weight._make
 
     def put(sign: int, a: int, b: int) -> None:
         if a < 0 or b < 0:
             raise ArithmeticError(
                 f"non-dominant summand ({a}, {b}) in the plethysm sums")
-        key = (a, b)
-        acc[key] = acc.get(key, 0) + sign
+        key = make((a, b))
+        acc[key] = get(key, 0) + sign
 
     for l in range(min(m1, m2) + 1):
         for k in range(m1 - l + 1):
@@ -45,7 +47,10 @@ def psi2_closed(w: WeightLike) -> SignedWeightSum:
         for k in range(m2 - l + 1):
             put(-1 if k % 2 else 1, 2 * m1 + k - 2 * l, 2 * m2 - 2 * k - 2 * l)
         put(-1, 2 * m1 - 2 * l, 2 * m2 - 2 * l)
-    return SignedWeightSum(acc)
+    if 0 in acc.values():  # a scan is cheaper than always copying
+        acc = {wt: c for wt, c in acc.items() if c}
+    # put checked every key dominant, and m1, m2 are ints
+    return SignedWeightSum._trusted(acc)
 
 
 def psi2_schur_form(m1: int, m2: int) -> SignedWeightSum:

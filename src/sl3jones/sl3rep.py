@@ -186,6 +186,19 @@ class SignedWeightSum:
             clean = {w: c for w, c in clean.items() if c}
         object.__setattr__(self, "_terms", clean)
 
+    @classmethod
+    def _trusted(cls, terms: dict[Weight, int]) -> "SignedWeightSum":
+        """The sum of terms, built with no check and no copy.
+
+        The caller guarantees what the public constructor would establish:
+        every key is a Weight of two non-negative ints, and every
+        multiplicity is a nonzero int.  terms is kept as the value's own
+        dict, so the caller must not change it afterwards.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "_terms", terms)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("SignedWeightSum is immutable")
 
@@ -230,6 +243,11 @@ class SignedWeightSum:
 
     def to_json_dict(self) -> dict:
         return {"terms": [[w.m1, w.m2, c] for w, c in self.items()]}
+
+    def to_json(self) -> str:
+        import json
+
+        return json.dumps(self.to_json_dict(), separators=(",", ":"))
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "SignedWeightSum":

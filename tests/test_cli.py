@@ -10,6 +10,10 @@ import sys
 import pytest
 
 import sl3jones.cli as cli
+from sl3jones.jones import (TorusKnotSpec, degree_report, jones_rosso,
+                            jones_t2b)
+from sl3jones.plethysm2 import psi2_closed
+from sl3jones.sl3rep import qdim_closed, twist_monomial
 
 
 def run(capsys, *argv):
@@ -129,6 +133,31 @@ def test_degrees_json(capsys):
     data = json.loads(out)
     assert data["min_deg"] == -6 and data["max_deg"] == -2
     assert data["min_coeff_exponents"] == [-6]
+
+
+@pytest.mark.parametrize("argv, value", [
+    (("jones", "--b", "9", "--m1", "4", "--m2", "7"),
+     lambda: jones_t2b(9, (4, 7))),
+    (("jones", "--b", "9", "--m1", "4", "--m2", "7", "--var", "qinv"),
+     lambda: jones_t2b(9, (4, 7)).mirrored()),
+    (("jones", "--a", "3", "--b", "4", "--m1", "2", "--m2", "1"),
+     lambda: jones_rosso(TorusKnotSpec(3, 4), (2, 1))),
+    (("jones", "--a", "3", "--b", "4", "--m1", "2", "--m2", "1", "--var",
+      "qinv"), lambda: jones_rosso(TorusKnotSpec(3, 4), (2, 1)).mirrored()),
+    (("plethysm", "--m1", "3", "--m2", "5"), lambda: psi2_closed((3, 5))),
+    (("degrees", "--b", "5", "--m1", "3", "--m2", "2"),
+     lambda: degree_report(jones_t2b(5, (3, 2)))),
+    (("qdim", "--m1", "3", "--m2", "4"), lambda: qdim_closed((3, 4))),
+    (("twist", "--m1", "2", "--m2", "3", "--num", "5", "--den", "7"),
+     lambda: twist_monomial((2, 3), 5, 7)),
+])
+def test_json_output_is_compact_dump_of_the_value(capsys, argv, value):
+    # _render writes each value's own to_json; it must be byte for byte
+    # the compact json.dumps of the value's dict form
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out == json.dumps(value().to_json_dict(),
+                             separators=(",", ":")) + "\n"
 
 
 # -- exit codes ----------------------------------------------------------

@@ -205,6 +205,32 @@ def test_rosso_accepts_tuple():
     assert jones_rosso((2, 3), (1, 0)).value == jones_t2b(3, (1, 0)).value
 
 
+# -- trusted result construction ---------------------------------------------
+
+
+def assert_as_public(value):
+    # the evaluator skips the public constructor; it must still build
+    # exactly its value: scale 1, int terms, no zero coefficient
+    public = ScaledLaurent(1, dict(value.items()))
+    assert value == public
+    assert value.items() == public.items()
+    assert all(type(e) is int and type(c) is int and c
+               for e, c in value.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 25), st.integers(0, 30), st.integers(0, 30))
+def test_evaluator_result_is_what_the_constructor_builds(half_b, m1, m2):
+    assert_as_public(jones_t2b(2 * half_b + 1, (m1, m2)).value)
+
+
+def test_evaluator_result_is_what_the_constructor_builds_for_oracle():
+    knot = TorusKnotSpec(3, 4)
+    for m1 in range(5):
+        for m2 in range(5 - m1):
+            assert_as_public(jones_rosso(knot, (m1, m2)).value)
+
+
 # -- result container ---------------------------------------------------------
 
 

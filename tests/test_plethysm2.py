@@ -89,3 +89,15 @@ def test_term_growth():
 def test_dominance_validation():
     with pytest.raises(ValueError):
         psi2_closed((-1, 2))
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 30), st.integers(0, 30))
+def test_closed_form_builds_what_the_constructor_builds(m1, m2):
+    # psi2_closed skips the public constructor's checks; its terms must
+    # still be exactly the constructor's: Weight keys, nonzero ints
+    s = psi2_closed((m1, m2))
+    public = SignedWeightSum(dict(s.items()))
+    assert s == public
+    assert [(type(w), w, type(c), c) for w, c in s.items()] == \
+        [(type(w), w, type(c), c) for w, c in public.items()]

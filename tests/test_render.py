@@ -1,0 +1,163 @@
+"""Text and JSON renderers against the loop and json.dumps forms they replace.
+
+The reference renderers below build each output the straightforward way:
+a term-by-term loop for the text, and json.dumps with compact separators
+over a dict built by hand for the JSON.  The package writes both forms
+directly from the sorted terms, and must match them byte for byte.
+"""
+
+import json
+from dataclasses import asdict
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sl3jones.jones import (ColoredJonesResult, DegreeReport, TorusKnotSpec,
+                            degree_report, jones_rosso, jones_t2b)
+from sl3jones.laurent import ScaledLaurent
+from sl3jones.sl3rep import SignedWeightSum, Weight
+
+
+def dumps(data) -> str:
+    return json.dumps(data, separators=(",", ":"))
+
+
+def ref_text(f: ScaledLaurent) -> str:
+    if not f:
+        return "0"
+    parts = []
+    for e, c in f.items():
+        if f.scale == 1:
+            es = str(e)
+        else:
+            frac = Fraction(e, f.scale)
+            if frac.denominator == 1:
+                es = str(frac.numerator)
+            else:
+                es = f"({frac.numerator}/{frac.denominator})"
+        term = f"{abs(c)}*q^{es}"
+        if not parts:
+            parts.append(term if c > 0 else f"-{term}")
+        else:
+            parts.append(f" + {term}" if c > 0 else f" - {term}")
+    return "".join(parts)
+
+
+def ref_laurent_dict(f: ScaledLaurent) -> dict:
+    return {"scale": f.scale, "terms": [[e, str(c)] for e, c in f.items()]}
+
+
+def ref_result_dict(r: ColoredJonesResult) -> dict:
+    return {"knot": {"a": r.knot.a, "b": r.knot.b},
+            "color": [r.color.m1, r.color.m2],
+            "variable": r.variable,
+            **ref_laurent_dict(r.value)}
+
+
+# small coefficients, and ones past 2**64 that no fixed-width int holds
+coeffs = st.one_of(st.integers(-9, 9), st.integers(-2**80, 2**80))
+
+laurents = st.builds(
+    ScaledLaurent,
+    st.sampled_from([1, 2, 3, 6, 21]),
+    st.dictionaries(st.integers(-60, 60), coeffs, max_size=8),
+)
+
+EDGE_LAURENTS = [
+    ScaledLaurent.zero(),
+    ScaledLaurent(1, {7: -3}),                        # one term, negative
+    ScaledLaurent(21, {-5: -1, 2: 4, 9: 2**70}),      # negative first
+    ScaledLaurent(2, {-1: 2**65 + 1, 3: -(2**64)}),   # above 2**64
+    ScaledLaurent(1, {-2: -1, 0: 1, 5: -2**100}),
+]
+
+
+def check_laurent(f: ScaledLaurent) -> None:
+    assert f.to_text() == ref_text(f)
+    assert f.to_json() == dumps(ref_laurent_dict(f))
+    assert f.to_json_dict() == ref_laurent_dict(f)
+    assert ScaledLaurent.from_json_dict(json.loads(f.to_json())) == f
+
+
+@settings(max_examples=300)
+@given(laurents)
+def test_laurent_renderers_match_reference(f):
+    check_laurent(f)
+
+
+def test_laurent_renderers_edge_cases():
+    for f in EDGE_LAURENTS:
+        check_laurent(f)
+    assert {f.scale for f in EDGE_LAURENTS} == {1, 2, 21}
+
+
+def test_laurent_renderers_on_invariants():
+    for r in (jones_t2b(3, (10, 7)), jones_t2b(51, (6, 9)),
+              jones_rosso(TorusKnotSpec(3, 4), (2, 1))):
+        check_laurent(r.value)
+        check_laurent(r.mirrored().value)
+
+
+def check_result(r: ColoredJonesResult) -> None:
+    assert r.to_text() == ref_text(r.value)
+    assert r.to_json() == dumps(ref_result_dict(r))
+    assert r.to_json_dict() == ref_result_dict(r)
+    # the documented key order survives the direct writer
+    assert list(json.loads(r.to_json())) == [
+        "knot", "color", "variable", "scale", "terms"]
+
+
+@settings(max_examples=150)
+@given(laurents | st.sampled_from(EDGE_LAURENTS),
+       st.sampled_from([(2, 3), (2, 51), (3, 4), (4, 5)]),
+       st.tuples(st.integers(0, 40), st.integers(0, 40)),
+       st.sampled_from(["q", "qinv"]))
+def test_result_renderers_match_reference(value, ab, color, variable):
+    check_result(ColoredJonesResult(value, TorusKnotSpec(*ab),
+                                    Weight(*color), variable))
+
+
+def test_result_renderers_on_invariants():
+    for r in (jones_t2b(3, (1, 0)), jones_t2b(7, (4, 9)),
+              jones_rosso(TorusKnotSpec(3, 5), (1, 2))):
+        check_result(r)
+        check_result(r.mirrored())
+
+
+signed_sums = st.dictionaries(
+    st.tuples(st.integers(0, 30), st.integers(0, 30)), coeffs, max_size=10,
+).map(SignedWeightSum)
+
+
+@settings(max_examples=150)
+@given(signed_sums)
+def test_signed_weight_sum_json_matches_reference(s):
+    ref = {"terms": [[w.m1, w.m2, c] for w, c in s.items()]}
+    assert s.to_json() == dumps(ref)
+    assert SignedWeightSum.from_json_dict(json.loads(s.to_json())) == s
+
+
+degree_reports = st.builds(
+    DegreeReport,
+    *([st.integers(-10**6, 10**6)] * 2 + [coeffs] * 2),
+    *([st.lists(st.integers(-500, 500), max_size=4).map(tuple)] * 2),
+    coeffs, coeffs,
+)
+
+
+def ref_report_dict(rep: DegreeReport) -> dict:
+    return {k: list(v) if isinstance(v, tuple) else v
+            for k, v in asdict(rep).items()}
+
+
+@settings(max_examples=100)
+@given(degree_reports)
+def test_degree_report_json_matches_reference(rep):
+    assert rep.to_json() == dumps(ref_report_dict(rep))
+
+
+def test_degree_report_json_on_invariants():
+    for r in (jones_t2b(3, (2, 5)), jones_t2b(5, (3, 3)).mirrored()):
+        rep = degree_report(r)
+        assert rep.to_json() == dumps(ref_report_dict(rep))
