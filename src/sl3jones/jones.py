@@ -6,13 +6,17 @@ signed expansion sum_mu c_mu V_mu of the degree-a Adams plethysm of V_w:
 jones_t2b over the closed form psi2_closed, jones_rosso over the schur3
 oracle psi_oracle.  With {n} = q^(n/2) - q^(-n/2), each quantum dimension
 is {m1+1}{m2+1}{m1+m2+2} / ({1}^3 [2]) and the shared denominator cancels.
-So each mu adds eight signed monomials to one sum on the 1/(6a) lattice,
-which is divided by the three factors {n} = q^(-n/2) (q^n - 1) of qdim(w).
-Dividing by q^n - 1 is a negated prefix sum along stride n of the dense
-coefficient list; each division must leave a zero remainder, and the
-result must reduce to integer exponents.  The result is built once, from
-the dense list: its nonzero entries, in ascending order, become the
-value's term dict with no second check or copy.
+Since m1+m2+2 = (m1+1) + (m2+1), the product {A}{B}{A+B} is the six-term
+Weyl alternant: of its eight signed monomials, the two at the twist
+exponent itself cancel.  So each mu adds six signed monomials to one sum
+on the 1/(6a) lattice, which is divided by the three factors
+{n} = -q^(-n/2) (1 - q^n) of qdim(w).  Dividing by 1 - q^n is a plain
+prefix sum along stride n of the dense coefficient list, and the sign
+(-1)^3 of the three factors is folded into the numerator's signs; each
+division must leave a zero remainder, and the result must reduce to
+integer exponents.  The result is built once, from the dense list: its
+nonzero entries, in ascending order, become the value's term dict with
+no second check or copy.
 
 Internally everything is a polynomial in q; results for the 1/q
 convention are obtained by mirroring at the edge, and the variable tag
@@ -125,11 +129,11 @@ class DegreeReport:
 
 
 def _div_stride(dense: list[int], stride: int) -> None:
-    """Divide dense coefficients in x, in place, by x^stride - 1."""
+    """Divide dense coefficients in x, in place, by 1 - x^stride."""
     for r in range(stride):
-        dense[r::stride] = [-v for v in accumulate(dense[r::stride])]
+        dense[r::stride] = accumulate(dense[r::stride])
     if any(dense[-stride:]):
-        raise InexactDivisionError(f"nonzero remainder modulo x^{stride} - 1")
+        raise InexactDivisionError(f"nonzero remainder modulo 1 - x^{stride}")
     del dense[-stride:]
 
 
@@ -143,16 +147,25 @@ def _rosso_jones(expansion: SignedWeightSum, a: int, b: int,
     scale, h = 6 * a, 3 * a
     acc: dict[int, int] = {}
     get = acc.get
-    # the sum is order-free, so the terms are taken unsorted
+    # The sum is order-free, so the terms are taken unsorted.  Each mu
+    # adds -{A}{B}{A+B} q^(t/scale) with A = n1+1 and B = n2+1, so u and v
+    # are the exponents of q^A and q^B; the minus is the sign of the
+    # three divisors.
     for (n1, n2), c in expansion._terms.items():
         t = 2 * b * _twist3(n1, n2)
-        ea, eb, ec = h * (n1 + 1), h * (n2 + 1), h * (n1 + n2 + 2)
-        for pa, sa in ((t + ea, c), (t - ea, -c)):
-            for pb, sb in ((pa + eb, sa), (pa - eb, -sa)):
-                k = pb + ec
-                acc[k] = get(k, 0) + sb
-                k = pb - ec
-                acc[k] = get(k, 0) - sb
+        u, v = 2 * h * (n1 + 1), 2 * h * (n2 + 1)
+        k = t + u + v
+        acc[k] = get(k, 0) - c
+        k = t + u
+        acc[k] = get(k, 0) + c
+        k = t + v
+        acc[k] = get(k, 0) + c
+        k = t - u
+        acc[k] = get(k, 0) - c
+        k = t - v
+        acc[k] = get(k, 0) - c
+        k = t - u - v
+        acc[k] = get(k, 0) + c
     acc = {e: c for e, c in acc.items() if c}
     m1, m2 = color
     ns = (m1 + 1, m2 + 1, m1 + m2 + 2)
@@ -213,20 +226,19 @@ def degree_report(result: ColoredJonesResult) -> DegreeReport:
     exponents attaining each coefficient extreme is included, and leading
     and trailing are the coefficients at the highest and lowest exponent.
     """
-    items = result.value.items()
-    if not items:
+    terms = result.value._terms  # ascending: the normal form
+    if not terms:
         raise UndefinedDegreeError("degree report of the zero polynomial")
-    exponents = [e for e, _ in items]
-    coeffs = [c for _, c in items]
-    lo_c = min(coeffs)
-    hi_c = max(coeffs)
+    lo_e, hi_e = next(iter(terms)), next(reversed(terms))
+    lo_c = min(terms.values())
+    hi_c = max(terms.values())
     return DegreeReport(
-        min_deg=exponents[0],
-        max_deg=exponents[-1],
+        min_deg=lo_e,
+        max_deg=hi_e,
         min_coeff=lo_c,
         max_coeff=hi_c,
-        min_coeff_exponents=tuple(e for e, c in items if c == lo_c),
-        max_coeff_exponents=tuple(e for e, c in items if c == hi_c),
-        leading=coeffs[-1],
-        trailing=coeffs[0],
+        min_coeff_exponents=tuple(e for e, c in terms.items() if c == lo_c),
+        max_coeff_exponents=tuple(e for e, c in terms.items() if c == hi_c),
+        leading=terms[hi_e],
+        trailing=terms[lo_e],
     )

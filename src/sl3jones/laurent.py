@@ -5,18 +5,20 @@ the term c*q^(e/D) is stored as the dict entry e -> c with an arbitrary
 precision integer coefficient.  Like a Fraction, the value keeps D
 reduced: D is the smallest lattice the exponents live on, so equal values
 have equal scales and terms, and the zero polynomial (the empty term map)
-has scale 1.  Zero coefficients are never stored.  Binary operations work
-on the lcm of the two scales.  All arithmetic is exact; division is long
-division from the lowest exponent and must leave no remainder.
+has scale 1.  Zero coefficients are never stored, and the term dict keeps
+its exponents in ascending order, so every reader walks the terms in
+order with no sort.  Binary operations work on the lcm of the two
+scales.  All arithmetic is exact; division is long division from the
+lowest exponent and must leave no remainder.
 
 The public constructor checks and normalizes its input.  An internal
 caller that already guarantees the normal form (scale reduced, no zero
-coefficient, every term an int pair) builds the value with
-ScaledLaurent._trusted instead, which runs no check and keeps the dict
-it is given.  to_json is the one JSON writer: it writes the text straight
-from the sorted terms, and to_json_dict is its parse.  The package's
-methods that need the json module import it when called, so importing
-the library alone does not load it.
+coefficient, every term an int pair, exponents ascending) builds the
+value with ScaledLaurent._trusted instead, which runs no check and keeps
+the dict it is given.  to_json is the one JSON writer: it writes the text
+straight from the ordered terms, and to_json_dict is its parse.  The
+package's methods that need the json module import it when called, so
+importing the library alone does not load it.
 """
 
 from __future__ import annotations
@@ -102,6 +104,9 @@ class ScaledLaurent:
             if g != 1:
                 scale //= g
                 clean = {e // g: c for e, c in clean.items()}
+        order = sorted(clean)
+        if order != list(clean):  # a comparison is cheaper than a rebuild
+            clean = {e: clean[e] for e in order}
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "_terms", clean)
 
@@ -111,7 +116,8 @@ class ScaledLaurent:
 
         The caller guarantees what the public constructor would establish:
         scale is reduced (its gcd with all the exponents is 1), no
-        coefficient is zero, and every term is an int pair.
+        coefficient is zero, every term is an int pair, and the keys
+        ascend.
         terms is kept as the value's own dict, so the caller must not
         change it afterwards.
         """
@@ -140,8 +146,12 @@ class ScaledLaurent:
     # -- inspection --------------------------------------------------
 
     def items(self) -> tuple[tuple[int, int], ...]:
-        """Terms as (scaled exponent, coefficient), ascending exponent."""
-        return tuple(sorted(self._terms.items()))
+        """Terms as (scaled exponent, coefficient), ascending exponent.
+
+        Ascending order is part of the normal form, so this is a copy of
+        the term dict in its own order, with no sort.
+        """
+        return tuple(self._terms.items())
 
     def coefficient(self, exponent: int) -> int:
         return self._terms.get(exponent, 0)
@@ -154,7 +164,7 @@ class ScaledLaurent:
         return bool(self._terms)
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self.items())
+        return iter(self._terms.items())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ScaledLaurent):
@@ -167,7 +177,7 @@ class ScaledLaurent:
     def __repr__(self) -> str:
         if len(self._terms) <= 8:
             return f"ScaledLaurent({self.scale}, {self.to_text()!r})"
-        lo, hi = min(self._terms), max(self._terms)
+        lo, hi = next(iter(self._terms)), next(reversed(self._terms))
         return (f"<ScaledLaurent scale={self.scale} terms={len(self._terms)}"
                 f" exponents=[{lo},{hi}]>")
 
@@ -191,7 +201,8 @@ class ScaledLaurent:
         return ScaledLaurent(scale, out)
 
     def __neg__(self) -> "ScaledLaurent":
-        return ScaledLaurent(self.scale, {e: -c for e, c in self._terms.items()})
+        return ScaledLaurent._trusted(
+            self.scale, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "ScaledLaurent") -> "ScaledLaurent":
         if not isinstance(other, ScaledLaurent):
@@ -203,7 +214,8 @@ class ScaledLaurent:
             raise TypeError("scalar must be an int")
         if c == 0:
             return ScaledLaurent(self.scale)
-        return ScaledLaurent(self.scale, {e: c * v for e, v in self._terms.items()})
+        return ScaledLaurent._trusted(
+            self.scale, {e: c * v for e, v in self._terms.items()})
 
     def __mul__(self, other) -> "ScaledLaurent":
         if isinstance(other, int):
@@ -239,8 +251,8 @@ class ScaledLaurent:
         if not self._terms:
             return ScaledLaurent(1)
         scale, f, g = self._common(divisor)
-        f_items = sorted(f.items())
-        g_items = sorted(g.items())
+        f_items = list(f.items())  # both ascend: the normal form
+        g_items = list(g.items())
         f_lo = f_items[0][0]
         g_lo = g_items[0][0]
         step = 0
@@ -286,7 +298,8 @@ class ScaledLaurent:
 
     def mirror(self) -> "ScaledLaurent":
         """The image under q -> 1/q (all exponents negated)."""
-        return ScaledLaurent(self.scale, {-e: c for e, c in self._terms.items()})
+        return ScaledLaurent._trusted(
+            self.scale, {-e: c for e, c in reversed(self._terms.items())})
 
     def eval_one(self) -> int:
         """The value at q = 1, i.e. the sum of all coefficients."""
@@ -296,8 +309,8 @@ class ScaledLaurent:
         """(lowest, highest) exponent as exact rationals in lowest terms."""
         if not self._terms:
             raise UndefinedDegreeError("degree of the zero polynomial")
-        return (Fraction(min(self._terms), self.scale),
-                Fraction(max(self._terms), self.scale))
+        return (Fraction(next(iter(self._terms)), self.scale),
+                Fraction(next(reversed(self._terms)), self.scale))
 
     # -- serialization -----------------------------------------------
 
@@ -310,13 +323,14 @@ class ScaledLaurent:
         if not self._terms:
             return "0"
         scale = self.scale
-        # No name holds the sorted items, so they are freed before the
-        # join, and the first separator (a bare sign, or none for a plus)
-        # is fixed on its own piece: the text is never copied whole.
+        # The terms are read in their own ascending order, and the first
+        # separator (a bare sign, or none for a plus) is fixed on its own
+        # piece: the text is never copied whole.
+        terms = self._terms.items()
         parts = [f" + {c}*q^{e}" if c > 0 else f" - {-c}*q^{e}"
-                 for e, c in (self.items() if scale == 1 else
+                 for e, c in (terms if scale == 1 else
                               ((_fraction_text(e, scale), c)
-                               for e, c in self.items()))]
+                               for e, c in terms))]
         first = parts[0]
         parts[0] = first[3:] if first[1] == "+" else "-" + first[3:]
         return "".join(parts)
@@ -328,7 +342,7 @@ class ScaledLaurent:
         loses digits.  Written directly, byte for byte what json.dumps with
         separators (",", ":") gives for to_json_dict.
         """
-        terms = ",".join([f'[{e},"{c}"]' for e, c in self.items()])
+        terms = ",".join([f'[{e},"{c}"]' for e, c in self._terms.items()])
         return f'{{"scale":{self.scale},"terms":[{terms}]}}'
 
     def to_json_dict(self) -> dict:

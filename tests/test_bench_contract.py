@@ -4,11 +4,14 @@ bench/tracing.py rebinds package functions and methods by name, and
 bench/workloads.py sends library calls by function name and CLI requests
 by argv.  A renamed or deleted name would otherwise show only in a traced
 benchmark run.  The two harness modules are loaded from their files and
-never modified.
+never modified.  The big requests' outputs must also hash to their
+digests in bench/reference.json, which is read and never written.
 """
 
+import hashlib
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -32,6 +35,7 @@ def _load(name):
 tracing = _load("tracing")
 workloads = _load("workloads")
 REQUESTS = workloads.all_reference_requests()
+DIGESTS = json.loads((BENCH / "reference.json").read_text())["digests"]
 
 
 @pytest.mark.parametrize("modname, attr",
@@ -60,3 +64,14 @@ def test_cli_requests_parse():
         argv = list(r.argv) + (["--out", "o"] if r.out else []) + (
             ["--cache", "c"] if r.cache else [])
         cli._build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("req", workloads.LARGE + (workloads.TABLE_SERIAL,),
+                         ids=lambda r: r.key)
+def test_big_output_matches_reference_digest(req, tmp_path, monkeypatch):
+    # the requests that render the most terms; any changed byte of an
+    # output otherwise shows only in a benchmark run
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    out = tmp_path / "out"
+    assert cli.main(list(req.argv) + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS[req.key]

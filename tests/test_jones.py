@@ -13,6 +13,7 @@ from sl3jones.plethysm2 import psi2_closed
 from sl3jones.schur3 import psi_oracle
 from sl3jones.sl3rep import (SignedWeightSum, Weight, qdim_closed,
                              twist_monomial)
+from test_laurent import ascends
 
 
 def literal_sum(expansion, a, b, w):
@@ -170,18 +171,39 @@ def test_fractional_exponents_raise():
 @given(st.lists(st.integers(-10**12, 10**12), min_size=1, max_size=40),
        st.integers(1, 12), st.data())
 def test_div_stride_round_trip(quotient, stride, data):
+    # the product (1 - x^stride) * quotient, coefficient by coefficient
     product = [0] * (len(quotient) + stride)
     for i, c in enumerate(quotient):
-        product[i] -= c
-        product[i + stride] += c
+        product[i] += c
+        product[i + stride] -= c
     got = list(product)
     _div_stride(got, stride)
     assert got == quotient
-    # x^k is never a multiple of x^stride - 1, so a bumped coefficient
+    # x^k is never a multiple of 1 - x^stride, so a bumped coefficient
     # must leave a remainder
     product[data.draw(st.integers(0, len(product) - 1))] += 1
     with pytest.raises(InexactDivisionError):
         _div_stride(product, stride)
+
+
+def bracket(h, n):
+    """{n} = q^(n/2) - q^(-n/2) on the 1/(2h) lattice."""
+    return ScaledLaurent(2 * h, {h * n: 1, -h * n: -1})
+
+
+@settings(max_examples=120)
+@given(st.integers(0, 60), st.integers(0, 60), st.sampled_from([6, 9, 12]),
+       st.integers(-500, 500))
+def test_six_term_weyl_numerator(n1, n2, h, t):
+    # each mu's numerator: -{A}{B}{A+B} x^t with A = n1+1, B = n2+1 and
+    # x = q^(1/(2h)), written as the six signed monomials the evaluator
+    # adds; the minus is the sign of the evaluator's three divisors
+    u, v = 2 * h * (n1 + 1), 2 * h * (n2 + 1)
+    six = ScaledLaurent(2 * h, [(t + u + v, -1), (t + u, 1), (t + v, 1),
+                                (t - u, -1), (t - v, -1), (t - u - v, 1)])
+    product = (bracket(h, n1 + 1) * bracket(h, n2 + 1)
+               * bracket(h, n1 + n2 + 2))
+    assert six == -(product * ScaledLaurent.monomial(2 * h, t))
 
 
 def test_matches_plethysm_route():
@@ -229,6 +251,47 @@ def test_evaluator_result_is_what_the_constructor_builds_for_oracle():
     for m1 in range(5):
         for m2 in range(5 - m1):
             assert_as_public(jones_rosso(knot, (m1, m2)).value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 25), st.integers(0, 30), st.integers(0, 30))
+def test_evaluator_terms_ascend(half_b, m1, m2):
+    res = jones_t2b(2 * half_b + 1, (m1, m2))
+    assert ascends(res.value)
+    assert ascends(res.mirrored().value)
+
+
+def test_evaluator_terms_ascend_for_oracle():
+    for a, b in ((3, 4), (4, 5)):
+        for m1 in range(4):
+            for m2 in range(4 - m1):
+                res = jones_rosso(TorusKnotSpec(a, b), (m1, m2))
+                assert ascends(res.value), (a, b, m1, m2)
+                assert ascends(res.mirrored().value), (a, b, m1, m2)
+
+
+def reference_report(result):
+    """degree_report from items() sorted here, not trusting their order."""
+    items = sorted(result.value.items())
+    lo_c = min(c for _, c in items)
+    hi_c = max(c for _, c in items)
+    return (items[0][0], items[-1][0], lo_c, hi_c,
+            tuple(e for e, c in items if c == lo_c),
+            tuple(e for e, c in items if c == hi_c),
+            items[-1][1], items[0][1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 25), st.integers(0, 20), st.integers(0, 20),
+       st.booleans())
+def test_degree_report_matches_sorted_reference(half_b, m1, m2, flip):
+    res = jones_t2b(2 * half_b + 1, (m1, m2))
+    if flip:
+        res = res.mirrored()
+    rep = degree_report(res)
+    assert (rep.min_deg, rep.max_deg, rep.min_coeff, rep.max_coeff,
+            rep.min_coeff_exponents, rep.max_coeff_exponents, rep.leading,
+            rep.trailing) == reference_report(res)
 
 
 # -- result container ---------------------------------------------------------

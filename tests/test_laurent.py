@@ -56,6 +56,12 @@ def is_reduced(f):
     return gcd(f.scale, *(e for e, _ in f.items())) == 1
 
 
+def ascends(f):
+    """The term dict's own key order strictly ascends: the normal form."""
+    keys = list(f._terms)
+    return all(a < b for a, b in zip(keys, keys[1:]))
+
+
 # -- construction and basic inspection ---------------------------------
 
 
@@ -325,3 +331,46 @@ def test_json_old_fixed_lattice_form_parses():
     assert f == ScaledLaurent(1, {-1: 1, 0: 1, 1: 1})
     assert f.to_json_dict() == {
         "scale": 1, "terms": [[-1, "1"], [0, "1"], [1, "1"]]}
+
+
+# -- ascending term order ------------------------------------------------
+
+# (exponent, coefficient) pairs in drawn order, repeats and zeros allowed
+pair_lists = st.lists(st.tuples(st.integers(-40, 40), st.integers(-5, 5)),
+                      max_size=12)
+
+
+@settings(max_examples=120)
+@given(st.sampled_from([1, 2, 3, 6, 12]), pair_lists)
+def test_constructor_orders_terms(scale, pairs):
+    # a mapping in any insertion order, and a pair list in any order
+    mapping = {}
+    for e, c in pairs:
+        mapping[e] = c
+    assert ascends(ScaledLaurent(scale, mapping))
+    assert ascends(ScaledLaurent(scale, pairs))
+
+
+def test_constructor_orders_descending_input():
+    f = ScaledLaurent(1, {3: 1, 2: -1, 1: 4})
+    assert list(f._terms) == [1, 2, 3]
+    assert f.items() == ((1, 4), (2, -1), (3, 1))
+    assert list(f) == [(1, 4), (2, -1), (3, 1)]
+    assert f.degree_span() == (1, 3)
+
+
+@settings(max_examples=120)
+@given(lattice_polys, lattice_polys, st.integers(-3, 3))
+def test_every_operation_keeps_terms_ascending(f, g, c):
+    results = [f + g, f - g, f * g, -f, f.scalar_mul(c), f.scalar_mul(0),
+               f.mirror(), ScaledLaurent.from_json_dict(f.to_json_dict())]
+    if g:
+        results.append((f * g).div_exact(g))
+    for r in results:
+        assert ascends(r), r
+
+
+def test_from_json_dict_orders_unsorted_terms():
+    f = ScaledLaurent.from_json_dict(
+        {"scale": 2, "terms": [[5, "1"], [-3, "2"], [1, "-1"]]})
+    assert list(f._terms) == [-3, 1, 5]
