@@ -101,8 +101,14 @@ def _with_cache(args, compute) -> str:
 
 
 def _enforce_limit(args) -> None:
-    """--m1, --m2, --max in 0..--limit (100 without one); --jobs >= 1."""
+    """Reject out-of-range options before any work.
+
+    --limit must be at least 0, --m1, --m2 and --max lie in 0..--limit
+    (100 without one), and --jobs must be at least 1.
+    """
     limit = getattr(args, "limit", 100)
+    if limit < 0:
+        raise ValueError(f"--limit {limit} is negative")
     for name in ("m1", "m2", "max"):
         v = getattr(args, name, None)
         if v is not None and not 0 <= v <= limit:

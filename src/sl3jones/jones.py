@@ -25,9 +25,9 @@ travels with the result.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
 from itertools import accumulate, compress
 from math import gcd
+from typing import NamedTuple
 
 from .laurent import (InexactDivisionError, NonIntegralExponentError,
                       ScaledLaurent, UndefinedDegreeError)
@@ -45,43 +45,92 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class TorusKnotSpec:
-    """The torus knot T(a, b); a and b must be positive and coprime."""
+    """The torus knot T(a, b); a and b must be positive and coprime.
 
-    a: int
-    b: int
+    Immutable; equal, hashed and printed by its two fields.
+    """
 
-    def __post_init__(self):
-        if not (isinstance(self.a, int) and isinstance(self.b, int)):
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: int, b: int):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        if not (isinstance(a, int) and isinstance(b, int)):
             raise TypeError(f"torus parameters must be ints, got {self!r}")
-        if self.a < 1 or self.b < 1:
+        if a < 1 or b < 1:
             raise ValueError(f"torus parameters must be positive, got {self!r}")
-        if gcd(self.a, self.b) != 1:
-            raise ValueError(f"T({self.a},{self.b}) is a link, not a knot")
+        if gcd(a, b) != 1:
+            raise ValueError(f"T({a},{b}) is a link, not a knot")
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TorusKnotSpec is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("TorusKnotSpec is immutable")
+
+    def __reduce__(self):
+        return TorusKnotSpec, (self.a, self.b)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.b) == (other.a, other.b)
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b))
+
+    def __repr__(self) -> str:
+        return f"TorusKnotSpec(a={self.a!r}, b={self.b!r})"
 
 
-@dataclass(frozen=True)
 class ColoredJonesResult:
     """An exact colored invariant value with its provenance.
 
     value is integer-reduced (scale 1); variable records whether the
-    exponents are powers of q or of 1/q.
+    exponents are powers of q or of 1/q.  Immutable; equal, hashed and
+    printed by its four fields.
     """
 
-    value: ScaledLaurent
-    knot: TorusKnotSpec
-    color: Weight
-    variable: str = "q"
+    __slots__ = ("value", "knot", "color", "variable")
 
-    def __post_init__(self):
-        if self.variable not in ("q", "qinv"):
-            raise ValueError(f"variable must be 'q' or 'qinv', got {self.variable!r}")
+    def __init__(self, value: ScaledLaurent, knot: TorusKnotSpec,
+                 color: Weight, variable: str = "q"):
+        if variable not in ("q", "qinv"):
+            raise ValueError(f"variable must be 'q' or 'qinv', got {variable!r}")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "knot", knot)
+        object.__setattr__(self, "color", color)
+        object.__setattr__(self, "variable", variable)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ColoredJonesResult is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("ColoredJonesResult is immutable")
+
+    def __reduce__(self):
+        return ColoredJonesResult, (self.value, self.knot, self.color,
+                                    self.variable)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.value, self.knot, self.color, self.variable)
+                == (other.value, other.knot, other.color, other.variable))
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.knot, self.color, self.variable))
+
+    def __repr__(self) -> str:
+        return (f"ColoredJonesResult(value={self.value!r}, knot={self.knot!r},"
+                f" color={self.color!r}, variable={self.variable!r})")
 
     def mirrored(self) -> "ColoredJonesResult":
         """The same invariant written in the reciprocal variable."""
         flipped = "qinv" if self.variable == "q" else "q"
-        return replace(self, value=self.value.mirror(), variable=flipped)
+        return ColoredJonesResult(self.value.mirror(), self.knot, self.color,
+                                  flipped)
 
     def to_text(self) -> str:
         return self.value.to_text()
@@ -98,8 +147,7 @@ class ColoredJonesResult:
         return json.loads(self.to_json())
 
 
-@dataclass(frozen=True)
-class DegreeReport:
+class DegreeReport(NamedTuple):
     """Degree and coefficient extremes of an integer-reduced value."""
 
     min_deg: int
@@ -114,7 +162,7 @@ class DegreeReport:
     def to_json_dict(self) -> dict:
         """The fields in declaration order, tuples as lists."""
         return {k: list(v) if isinstance(v, tuple) else v
-                for k, v in asdict(self).items()}
+                for k, v in self._asdict().items()}
 
     def to_json(self) -> str:
         import json

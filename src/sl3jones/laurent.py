@@ -18,15 +18,19 @@ value with ScaledLaurent._trusted instead, which runs no check and keeps
 the dict it is given.  to_json is the one JSON writer: it writes the text
 straight from the ordered terms, and to_json_dict is its parse.  The
 package's methods that need the json module import it when called, so
-importing the library alone does not load it.
+importing the library alone does not load it; the functions that return
+a Fraction (degree_span here, pairing and twist_weyl_check in sl3rep)
+import the fractions module the same way.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
-from fractions import Fraction
 from math import gcd, lcm
-from typing import Union
+from typing import TYPE_CHECKING, Union
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "LaurentError",
@@ -63,8 +67,9 @@ TermsLike = Union[Mapping[int, int], Iterable[tuple[int, int]]]
 
 def _fraction_text(e: int, scale: int) -> str:
     """The exponent e/scale in lowest terms, parenthesized if fractional."""
-    frac = Fraction(e, scale)
-    return str(frac) if frac.denominator == 1 else f"({frac})"
+    g = gcd(e, scale)
+    n, d = e // g, scale // g
+    return str(n) if d == 1 else f"({n}/{d})"
 
 
 def _stretch(terms: dict[int, int], k: int) -> dict[int, int]:
@@ -128,6 +133,9 @@ class ScaledLaurent:
 
     def __setattr__(self, name, value):
         raise AttributeError("ScaledLaurent is immutable")
+
+    def __reduce__(self):
+        return ScaledLaurent, (self.scale, self._terms)
 
     # -- constructors ------------------------------------------------
 
@@ -307,6 +315,8 @@ class ScaledLaurent:
 
     def degree_span(self) -> tuple[Fraction, Fraction]:
         """(lowest, highest) exponent as exact rationals in lowest terms."""
+        from fractions import Fraction
+
         if not self._terms:
             raise UndefinedDegreeError("degree of the zero polynomial")
         return (Fraction(next(iter(self._terms)), self.scale),

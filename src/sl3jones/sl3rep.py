@@ -11,11 +11,12 @@ quantum integers on the 1/2 lattice, twist powers theta^(num/den) on the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Mapping, NamedTuple, Union
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Union
 
 from .laurent import ScaledLaurent
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "Weight",
@@ -58,8 +59,7 @@ def _as_dominant(w: WeightLike) -> Weight:
     return wt
 
 
-@dataclass(frozen=True)
-class RootDataSl3:
+class RootDataSl3(NamedTuple):
     """Root system constants for sl3 in fundamental-weight coordinates."""
 
     alpha1: tuple[int, int] = (2, -1)
@@ -80,6 +80,8 @@ def pairing(u: tuple[int, int], v: tuple[int, int]) -> Fraction:
 
     Normalized so that roots have squared length 2; values lie in (1/3)Z.
     """
+    from fractions import Fraction
+
     u1, u2 = u
     v1, v2 = v
     return Fraction(4 * u1 * v1 + 2 * (u1 * v2 + u2 * v1) + 4 * u2 * v2, 6)
@@ -159,6 +161,8 @@ def twist_weyl_check(w: WeightLike) -> bool:
     Both sides are exact rationals; returns True when the closed-form
     exponent twist_exponent(w)/3 agrees with the pairing form.
     """
+    from fractions import Fraction
+
     wt = _as_dominant(w)
     shifted = (wt.m1 + 2 * ROOT_DATA.rho[0], wt.m2 + 2 * ROOT_DATA.rho[1])
     return (Fraction(1, 2) * pairing(tuple(wt), shifted)
@@ -201,6 +205,9 @@ class SignedWeightSum:
 
     def __setattr__(self, name, value):
         raise AttributeError("SignedWeightSum is immutable")
+
+    def __reduce__(self):
+        return SignedWeightSum, (self._terms,)
 
     def items(self) -> tuple[tuple[Weight, int], ...]:
         return tuple(sorted(self._terms.items()))

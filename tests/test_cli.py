@@ -196,6 +196,14 @@ def test_limit_bounds_parameters(capsys):
     assert code == 0
 
 
+def test_negative_limit_is_its_own_usage_error(capsys):
+    code, out, err = run(capsys, "jones", "--b", "3", "--m1", "1", "--m2",
+                         "1", "--limit", "-5")
+    assert code == 2
+    assert out == ""
+    assert err == "usage error: --limit -5 is negative\n"
+
+
 def test_selfcheck_max_out_of_range(capsys):
     code, out, err = run(capsys, "selfcheck", "--max", "-1")
     assert code == 2
@@ -229,6 +237,22 @@ def test_closed_stdout_exits_quietly():
     proc.stderr.close()
     assert proc.wait() == 0
     assert err == b""
+
+
+def test_import_loads_no_heavy_stdlib_module():
+    # every CLI call is a fresh process that pays for its imports; these
+    # four (dataclasses pulls in inspect, fractions pulls in decimal) cost
+    # about half of the package's import time and are needed by no request
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    probe = ("import sys; bare = set(sys.modules); import sl3jones.cli; "
+             "sl3jones.cli._build_parser(); "
+             "print(' '.join(sorted(set(sys.modules) - bare)))")
+    proc = subprocess.run([sys.executable, "-c", probe], check=True,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    added = set(proc.stdout.split())
+    assert "sl3jones.cli" in added and "argparse" in added
+    assert not added & {"dataclasses", "inspect", "fractions", "decimal"}
 
 
 def test_usage_error_out_missing_directory(tmp_path, capsys):

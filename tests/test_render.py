@@ -7,15 +7,14 @@ directly from the sorted terms, and must match them byte for byte.
 """
 
 import json
-from dataclasses import asdict
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sl3jones.jones import (ColoredJonesResult, DegreeReport, TorusKnotSpec,
                             degree_report, jones_rosso, jones_t2b)
-from sl3jones.laurent import ScaledLaurent
+from sl3jones.laurent import ScaledLaurent, _fraction_text
 from sl3jones.sl3rep import SignedWeightSum, Weight
 
 
@@ -42,6 +41,18 @@ def ref_text(f: ScaledLaurent) -> str:
         else:
             parts.append(f" + {term}" if c > 0 else f" - {term}")
     return "".join(parts)
+
+
+@given(st.integers(-10**6, 10**6), st.integers(1, 60))
+@example(0, 1)
+@example(0, 7)
+@example(-3, 6)
+@example(-12, 6)
+@example(10**6, 60)
+def test_fraction_text_matches_fraction(e, scale):
+    frac = Fraction(e, scale)
+    assert _fraction_text(e, scale) == (
+        str(frac) if frac.denominator == 1 else f"({frac})")
 
 
 def ref_laurent_dict(f: ScaledLaurent) -> dict:
@@ -146,9 +157,15 @@ degree_reports = st.builds(
 )
 
 
+REPORT_FIELDS = ("min_deg", "max_deg", "min_coeff", "max_coeff",
+                 "min_coeff_exponents", "max_coeff_exponents",
+                 "leading", "trailing")
+
+
 def ref_report_dict(rep: DegreeReport) -> dict:
+    fields = {k: getattr(rep, k) for k in REPORT_FIELDS}
     return {k: list(v) if isinstance(v, tuple) else v
-            for k, v in asdict(rep).items()}
+            for k, v in fields.items()}
 
 
 @settings(max_examples=100)
