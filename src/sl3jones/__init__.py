@@ -1,10 +1,13 @@
-"""Exact sl3 colored invariants of T(2,b) torus knots.
+"""Exact sl3 colored invariants of torus knots.
 
-The package computes the colored invariant from a closed-form expansion
-of the second plethysm of an irreducible sl3 character, with exact
-Laurent arithmetic on a fractional exponent lattice.  An independent
-symmetric-function route (Adams operation plus Schur decomposition)
-cross-checks both the plethysm expansion and the invariant itself.
+The package computes the colored invariant of T(2,b) from a closed-form
+expansion of the second plethysm of an irreducible sl3 character, and
+that of any T(a,b) from the Adams image of the character's weights (the
+weight form of the Rosso-Jones sum), with exact Laurent arithmetic on a
+fractional exponent lattice.  An independent symmetric-function route
+(Adams operation plus Schur decomposition) checks both from outside:
+it cross-checks the plethysm expansion, and its straightened expansion,
+summed by the same evaluator, must give the same invariant.
 """
 
 __version__ = "0.3.0"

@@ -24,7 +24,8 @@ import sys
 import tempfile
 
 from . import __version__
-from .jones import TorusKnotSpec, degree_report, jones_rosso, jones_t2b
+from .jones import (TorusKnotSpec, _rosso_jones, degree_report, jones_rosso,
+                    jones_t2b)
 from .laurent import LaurentError
 from .plethysm2 import psi2_closed, psi2_schur_form, signed_dimension
 from .schur3 import psi_oracle, verify_lemma_LR, verify_lemma_psi2_recurrence
@@ -173,14 +174,15 @@ def _twist(args):
 
 
 def _table_cell(cell) -> str:
+    """The row of one cell after its m1,m2 columns."""
     a, b, m1, m2, var, full = cell
     res = _compute_result(a, b, m1, m2, var)
     rep = degree_report(res)
-    row = (f"{m1},{m2},{rep.min_deg},{rep.max_deg},{rep.min_coeff},"
-           f"{rep.max_coeff},{res.value.term_count}")
+    tail = (f"{rep.min_deg},{rep.max_deg},{rep.min_coeff},{rep.max_coeff},"
+            f"{res.value.term_count}")
     if full:
-        row += f",{res.value.to_text()}"
-    return row
+        tail += f",{res.value.to_text()}"
+    return tail
 
 
 def _worker_count(jobs: int, cells: int) -> int:
@@ -209,7 +211,7 @@ def _table(args) -> str:
             rows = pool.map(_table_cell, cells, chunksize=1)
     else:
         rows = map(_table_cell, cells)
-    tails = {(c[2], c[3]): row.split(",", 2)[2] for c, row in zip(cells, rows)}
+    tails = {(c[2], c[3]): tail for c, tail in zip(cells, rows)}
     return "\n".join(
         [header] + [f"{m1},{m2},{tails[min(m1, m2), max(m1, m2)]}"
                     for m1 in range(mx + 1) for m2 in range(mx + 1)]) + "\n"
@@ -248,9 +250,16 @@ def _selfcheck_properties(mx: int):
                    for w in rng2 for a in (2, 3))
 
     def torus_route_equivalence():
+        # the weight form against the closed plethysm expansion
         return all(jones_rosso(TorusKnotSpec(2, b), w).value
                    == jones_t2b(b, w).value
                    for b in (1, 3) for w in rng2)
+
+    def oracle_route_equivalence():
+        # the weight form against the straightened Schur expansion
+        return all(jones_rosso(TorusKnotSpec(a, b), w).value
+                   == _rosso_jones(psi_oracle(w, a)._terms, a, b, w)
+                   for a, b in ((3, 4), (4, 5), (5, 3)) for w in rng2)
 
     def torus_symmetry():
         return all(jones_rosso(TorusKnotSpec(3, 2), w).value
@@ -281,6 +290,7 @@ def _selfcheck_properties(mx: int):
         ("plethysm-recurrence", plethysm_recurrence),
         ("signed-dimension-conservation", signed_dimension_conservation),
         ("torus-route-equivalence", torus_route_equivalence),
+        ("oracle-route-equivalence", oracle_route_equivalence),
         ("torus-symmetry", torus_symmetry),
         ("color-swap-symmetry", color_swap_symmetry),
         ("unknot-normalization", unknot_normalization),

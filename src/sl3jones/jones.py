@@ -2,9 +2,13 @@
 
 Both routes evaluate the Rosso-Jones sum for T(a, b) at color w,
 theta(w)^(-ab) / qdim(w) * sum_mu c_mu qdim(mu) theta(mu)^(b/a), over a
-signed expansion sum_mu c_mu V_mu of the degree-a Adams plethysm of V_w:
-jones_t2b over the closed form psi2_closed, jones_rosso over the schur3
-oracle psi_oracle.  With {n} = q^(n/2) - q^(-n/2), each quantum dimension
+signed multiset of weights mu: jones_t2b over the closed second-plethysm
+expansion psi2_closed, jones_rosso over the Adams image a*nu of every
+weight nu of V_w, taken from the Gelfand-Tsetlin character schur.  The
+summand is anti-invariant under the Weyl group acting on mu + rho, so
+the weight form needs no Schur decomposition: straightening the Adams
+image into irreducibles, as the schur3 oracle psi_oracle does, gives
+the same sum.  With {n} = q^(n/2) - q^(-n/2), each quantum dimension
 is {m1+1}{m2+1}{m1+m2+2} / ({1}^3 [2]) and the shared denominator cancels.
 Since m1+m2+2 = (m1+1) + (m2+1), the product {A}{B}{A+B} is the six-term
 Weyl alternant: of its eight signed monomials, the two at the twist
@@ -32,8 +36,8 @@ from typing import NamedTuple
 from .laurent import (InexactDivisionError, NonIntegralExponentError,
                       ScaledLaurent, UndefinedDegreeError)
 from .plethysm2 import psi2_closed
-from .schur3 import psi_oracle
-from .sl3rep import SignedWeightSum, Weight, WeightLike, _as_dominant, _twist3
+from .schur3 import schur
+from .sl3rep import Weight, WeightLike, _as_dominant, _twist3
 
 __all__ = [
     "TorusKnotSpec",
@@ -185,12 +189,17 @@ def _div_stride(dense: list[int], stride: int) -> None:
     del dense[-stride:]
 
 
-def _rosso_jones(expansion: SignedWeightSum, a: int, b: int,
+def _rosso_jones(weights: dict[tuple[int, int], int], a: int, b: int,
                  color: Weight) -> ScaledLaurent:
-    """The Rosso-Jones sum over expansion, reduced to scale 1.
+    """The Rosso-Jones sum over weights, reduced to scale 1.
 
-    The weights of expansion were checked dominant when it was built, and
-    color by the caller, so the twists take the unchecked form.
+    weights maps (n1, n2) to a signed multiplicity; any weight is
+    allowed, including non-dominant ones.  Each term qdim(mu) *
+    theta(mu)^(b/a) is anti-invariant under the Weyl group acting on
+    mu + rho, so a weight on a wall (n1 = -1, n2 = -1 or n1 + n2 = -2)
+    adds nothing, and the other weights need not be straightened to
+    dominant ones.  color was checked dominant by the caller, so the
+    twists take the unchecked form.
     """
     scale, h = 6 * a, 3 * a
     acc: dict[int, int] = {}
@@ -199,7 +208,7 @@ def _rosso_jones(expansion: SignedWeightSum, a: int, b: int,
     # adds -{A}{B}{A+B} q^(t/scale) with A = n1+1 and B = n2+1, so u and v
     # are the exponents of q^A and q^B; the minus is the sign of the
     # three divisors.
-    for (n1, n2), c in expansion._terms.items():
+    for (n1, n2), c in weights.items():
         t = 2 * b * _twist3(n1, n2)
         u, v = 2 * h * (n1 + 1), 2 * h * (n2 + 1)
         k = t + u + v
@@ -248,22 +257,27 @@ def jones_t2b(b: int, color: WeightLike) -> ColoredJonesResult:
     if not isinstance(b, int) or b < 1 or b % 2 == 0:
         raise ValueError(f"T(2,b) needs a positive odd b, got {b!r}")
     w = _as_dominant(color)
-    value = _rosso_jones(psi2_closed(w), 2, b, w)
+    value = _rosso_jones(psi2_closed(w)._terms, 2, b, w)
     return ColoredJonesResult(value, TorusKnotSpec(2, b), w, "q")
 
 
 def jones_rosso(knot: TorusKnotSpec, color: WeightLike) -> ColoredJonesResult:
     """Exact colored invariant of T(a, b) via the degree-a Adams plethysm.
 
-    The same Rosso-Jones sum as jones_t2b, over the psi_oracle expansion
-    on the 1/(6a) lattice.  The oracle expands the Adams image of the
-    Gelfand-Tsetlin weights of V_w by straightening, so its cost grows
-    with dim(V_w); for a = 2 the result equals jones_t2b.
+    The same Rosso-Jones sum as jones_t2b, in weight form: over the Adams
+    image a*nu of every weight nu of V_w, with its multiplicity, on the
+    1/(6a) lattice.  The weights are the Gelfand-Tsetlin monomials of
+    the character s_(m1+m2, m2, 0); none is straightened, so the cost
+    grows with dim(V_w) and no Schur decomposition is made.  For a = 2
+    the result equals jones_t2b.
     """
     if not isinstance(knot, TorusKnotSpec):
         knot = TorusKnotSpec(*knot)
     w = _as_dominant(color)
-    value = _rosso_jones(psi_oracle(w, knot.a), knot.a, knot.b, w)
+    a = knot.a
+    weights = {(a * (e1 - e2), a * (e2 - e3)): c
+               for (e1, e2, e3), c in schur((w.m1 + w.m2, w.m2, 0)).items()}
+    value = _rosso_jones(weights, a, knot.b, w)
     return ColoredJonesResult(value, knot, w, "q")
 
 

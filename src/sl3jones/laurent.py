@@ -134,6 +134,9 @@ class ScaledLaurent:
     def __setattr__(self, name, value):
         raise AttributeError("ScaledLaurent is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("ScaledLaurent is immutable")
+
     def __reduce__(self):
         return ScaledLaurent, (self.scale, self._terms)
 

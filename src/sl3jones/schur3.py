@@ -11,7 +11,9 @@ rule with s_0 = 1), and the identity checks straighten their case-table
 rows the same way before comparing both sides as sl3 weights.
 The plethysm oracle applies an Adams operation x_i -> x_i^a to a
 character and decomposes the result; it is the independent cross-check
-for the closed second-plethysm formula in the plethysm2 module.
+for the closed second-plethysm formula in the plethysm2 module, and for
+the weight form of the invariant in the jones module, which sums the
+Adams image with no decomposition.
 """
 
 from __future__ import annotations
@@ -99,10 +101,13 @@ def straighten(lam: GLIndex) -> tuple[int, GLIndex] | None:
 def _schur_cached(lam: GLIndex) -> tuple[tuple[GLIndex, int], ...]:
     if min(lam[i] + _DELTA[i] for i in range(3)) < 0:
         raise ValueError(f"Schur index {lam} has negative shifted exponents")
-    st = straighten(lam)
-    if st is None:
-        return ()
-    sign, (l1, l2, l3) = st
+    if lam[0] >= lam[1] >= lam[2]:  # a partition straightens to itself
+        sign, (l1, l2, l3) = 1, lam
+    else:
+        st = straighten(lam)
+        if st is None:
+            return ()
+        sign, (l1, l2, l3) = st
     # Gelfand-Tsetlin patterns: l1 >= k1 >= l2 >= k2 >= l3, k1 >= k >= k2;
     # the weight is (k, k1 + k2 - k, |l| - k1 - k2)
     out: SymPoly3 = {}

@@ -206,6 +206,9 @@ class SignedWeightSum:
     def __setattr__(self, name, value):
         raise AttributeError("SignedWeightSum is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("SignedWeightSum is immutable")
+
     def __reduce__(self):
         return SignedWeightSum, (self._terms,)
 

@@ -4,7 +4,8 @@ bench/tracing.py rebinds package functions and methods by name, and
 bench/workloads.py sends library calls by function name and CLI requests
 by argv.  A renamed or deleted name would otherwise show only in a traced
 benchmark run.  The two harness modules are loaded from their files and
-never modified.  The big requests' outputs must also hash to their
+never modified.  The big requests' outputs, and every plethysm and
+torus-knot library call of the oracle workload, must also hash to their
 digests in bench/reference.json, which is read and never written.
 """
 
@@ -75,3 +76,23 @@ def test_big_output_matches_reference_digest(req, tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert cli.main(list(req.argv) + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS[req.key]
+
+
+def _render_lib(req) -> str:
+    """A library request's output text, rendered as bench/execute.py does."""
+    if req.fn == "psi_oracle":
+        m1, m2, a = req.args
+        return sl3jones.psi_oracle((m1, m2), a).to_text()
+    a, b, m1, m2 = req.args
+    return sl3jones.jones_rosso(sl3jones.TorusKnotSpec(a, b),
+                                (m1, m2)).value.to_text()
+
+
+@pytest.mark.parametrize("fn", ["psi_oracle", "jones_rosso"])
+def test_oracle_outputs_match_reference_digests(fn):
+    reqs = [r for r in workloads.ORACLE if r.fn == fn]
+    assert reqs
+    wrong = [r.key for r in reqs
+             if hashlib.sha256(_render_lib(r).encode("utf-8")).hexdigest()
+             != DIGESTS[r.key]]
+    assert not wrong

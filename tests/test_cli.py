@@ -316,9 +316,10 @@ def test_selfcheck_passes(capsys):
     code, out, _ = run(capsys, "selfcheck", "--max", "2")
     assert code == 0
     lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
-    assert len(lines) == 11
+    assert len(lines) == 12
     assert all(l.startswith("PASS") for l in lines)
     assert "PASS color-swap-symmetry" in lines
+    assert "PASS oracle-route-equivalence" in lines
 
 
 # -- table ----------------------------------------------------------------
@@ -375,7 +376,8 @@ def test_table_matches_full_square(capsys, opts):
     # the table computes m1 <= m2 and mirrors the rest; the literal
     # assembly computes every cell
     args = cli._build_parser().parse_args(["table", *opts])
-    rows = [cli._table_cell((args.a, args.b, m1, m2, args.var, args.full))
+    rows = [f"{m1},{m2},"
+            + cli._table_cell((args.a, args.b, m1, m2, args.var, args.full))
             for m1 in range(args.max + 1) for m2 in range(args.max + 1)]
     code, out, _ = run(capsys, "table", *opts)
     assert code == 0

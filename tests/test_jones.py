@@ -1,9 +1,12 @@
-"""Colored invariants of T(2,b): closed form, plethysm route, reports."""
+"""Colored invariants: closed form, weight form, oracle route, reports."""
+
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sl3jones import schur3
 from sl3jones.jones import (ColoredJonesResult, TorusKnotSpec, _div_stride,
                             _rosso_jones, degree_report, jones_rosso,
                             jones_t2b)
@@ -146,21 +149,23 @@ def test_extra_trivial_summand_is_inexact(m1, m2, half_b):
     # polynomial for w != (0, 0): the evaluator must refuse, not round
     w = Weight(m1, m2)
     assume(w != (0, 0))
-    bad = SignedWeightSum(list(psi2_closed(w).items()) + [((0, 0), 1)])
+    bad = dict(psi2_closed(w)._terms)
+    bad[(0, 0)] = bad.get((0, 0), 0) + 1
     with pytest.raises(InexactDivisionError):
         _rosso_jones(bad, 2, 2 * half_b + 1, w)
 
 
 def test_extra_trivial_summand_is_inexact_for_oracle():
     for w in (Weight(1, 0), Weight(2, 1), Weight(3, 3)):
-        bad = SignedWeightSum(list(psi_oracle(w, 3).items()) + [((0, 0), 1)])
+        bad = dict(psi_oracle(w, 3)._terms)
+        bad[(0, 0)] = bad.get((0, 0), 0) + 1
         with pytest.raises(InexactDivisionError):
             _rosso_jones(bad, 3, 4, w)
 
 
 def test_fractional_exponents_raise():
     # theta(1,0)^(1/5 - 5) = q^(-32/5): exact, but off the integer lattice
-    single = SignedWeightSum({(1, 0): 1})
+    single = {(1, 0): 1}
     with pytest.raises(NonIntegralExponentError):
         _rosso_jones(single, 5, 1, Weight(1, 0))
     assert _rosso_jones(single, 4, 1, Weight(1, 0)) == \
@@ -225,6 +230,81 @@ def test_torus_parameter_symmetry():
 
 def test_rosso_accepts_tuple():
     assert jones_rosso((2, 3), (1, 0)).value == jones_t2b(3, (1, 0)).value
+
+
+# -- the weight form ------------------------------------------------------------
+
+
+def s1(n1, n2):
+    """The dot action of the first simple reflection on (n1, n2)."""
+    return (-n1 - 2, n1 + n2 + 1)
+
+
+def s2(n1, n2):
+    """The dot action of the second simple reflection on (n1, n2)."""
+    return (n1 + n2 + 1, -n2 - 2)
+
+
+# the three walls n1 = -1, n2 = -1 and n1 + n2 = -2, each by a free coordinate
+WALLS = (lambda k: (-1, k), lambda k: (k, -1), lambda k: (k, -2 - k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 12), st.integers(0, 12), st.integers(0, 25),
+       st.lists(st.tuples(st.sampled_from(WALLS), st.integers(-40, 40),
+                          st.integers(-5, 5)), max_size=8))
+def test_wall_weights_add_nothing(m1, m2, half_b, extra):
+    # a weight on a wall fixes mu + rho under a reflection, so its
+    # anti-invariant term is zero
+    b, w = 2 * half_b + 1, Weight(m1, m2)
+    weights = dict(psi2_closed(w)._terms)
+    for wall, k, c in extra:
+        mu = wall(k)
+        weights[mu] = weights.get(mu, 0) + c
+    assert _rosso_jones(weights, 2, b, w) == jones_t2b(b, w).value
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(2, 3), (2, 5), (3, 4), (4, 3), (4, 5)]),
+       st.integers(0, 6), st.integers(0, 6), st.data())
+def test_reflected_weights_with_negated_multiplicity(knot, m1, m2, data):
+    # each mu is moved by a word in s1 and s2, its multiplicity negated
+    # once per letter: the sum is unchanged
+    a, b = knot
+    w = Weight(m1, m2)
+    weights = {}
+    for mu, c in psi_oracle(w, a)._terms.items():
+        word = data.draw(st.lists(st.sampled_from((s1, s2)), max_size=3))
+        for s in word:
+            mu = s(*mu)
+        weights[mu] = weights.get(mu, 0) + (-1) ** len(word) * c
+    assert _rosso_jones(weights, a, b, w) == \
+        jones_rosso(TorusKnotSpec(a, b), w).value
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([3, 4, 5]), st.integers(1, 12), st.integers(0, 5),
+       st.integers(0, 5))
+def test_weight_form_matches_straightened_oracle(a, b, m1, m2):
+    assume(gcd(a, b) == 1)
+    w = Weight(m1, m2)
+    assert _rosso_jones(psi_oracle(w, a)._terms, a, b, w) == \
+        jones_rosso(TorusKnotSpec(a, b), w).value
+
+
+def test_jones_rosso_makes_no_schur_decomposition(monkeypatch):
+    cases = [(TorusKnotSpec(a, b), w) for a, b in ((2, 3), (3, 4), (5, 2))
+             for w in ((0, 0), (3, 1), (2, 5))]
+    want = [jones_rosso(knot, w).value for knot, w in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the weight form straightened a weight")
+
+    for name in ("decompose_schur", "straighten", "is_symmetric"):
+        monkeypatch.setattr(schur3, name, refuse)
+    monkeypatch.setattr(SignedWeightSum, "__init__", refuse)
+    schur3._schur_cached.cache_clear()  # the character is rebuilt, too
+    assert [jones_rosso(knot, w).value for knot, w in cases] == want
 
 
 # -- trusted result construction ---------------------------------------------

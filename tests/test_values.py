@@ -91,6 +91,8 @@ def test_equality_and_hash_by_value():
 @pytest.mark.parametrize("value, names", [
     (TorusKnotSpec(2, 3), ["a", "b", "c"]),
     (T23, ["value", "knot", "color", "variable", "other"]),
+    (ScaledLaurent(21, {-5: -1, 2: 4}), ["scale", "_terms", "other"]),
+    (SignedWeightSum({(1, 2): -3}), ["_terms", "other"]),
 ])
 def test_attribute_writes_raise(value, names):
     for name in names:
