@@ -1,13 +1,19 @@
 """Command line front end.
 
 Subcommands: jones, plethysm, qdim, twist, degrees, table, selfcheck.
-Every value command takes one path: its subparser's func turns the
-parsed options into a value, _render writes it as text or JSON (the
-table is already CSV text), _with_cache serves or stores that text, and
-_emit prints it or writes --out.  Output is deterministic for a given
-parameter set, so jones, plethysm, degrees and table cache it
-content-addressed by the package version plus every parsed option that
-can change it; cache files are written atomically, corrupt entries are
+Every value command takes one path.  Its subparser's func computes the
+value, and _writer picks the value's chunk writer for --format (the
+table is its own CSV writer).  _with_cache serves a cached output or
+tees the chunks of a fresh one into the cache, and _emit opens --out,
+or takes stdout, only once the value is computed and passes each chunk
+straight to it.  So no output is ever held whole: memory is bounded by
+the value and one chunk, and a failed computation leaves no --out file.
+Output is deterministic for a given parameter set, so jones, plethysm,
+degrees and table cache it content-addressed by the package version
+plus every parsed option that can change it.  A cache entry is whole
+or absent: its chunks go into a temporary file that is moved into place
+only after the last one, and any interruption of the output (a closed
+stdout, a failed --out write) removes it.  Corrupt entries are
 recomputed with a warning, and a failed store only warns.  selfcheck
 prints its own report and is never cached.  Exit codes: 0 success,
 2 usage error, 3 internal-consistency failure.
@@ -64,25 +70,70 @@ def _cache_lookup(cdir: str, key: str) -> str | None:
         return None
 
 
-def _cache_store(cdir: str, key: str, output: str) -> None:
-    os.makedirs(cdir, exist_ok=True)
-    path = _cache_path(cdir, key)
-    fd, tmp = tempfile.mkstemp(dir=cdir, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            json.dump({"key": key, "output": output}, f)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+class _CacheEntry:
+    """A cache entry written chunk by chunk, whole or not at all.
+
+    The chunks go, JSON-escaped, into a temporary file between the head
+    {"key": <key>, "output": " and the tail "}, which is byte for byte
+    what json.dump({"key": key, "output": text}) writes.  commit() ends
+    the file and moves it into place with os.replace; until then the
+    entry's path is untouched.  A failed cache write warns once and drops
+    the entry, and the output goes on; discard() drops it when the output
+    itself is cut short.
+    """
+
+    def __init__(self, cdir: str, key: str):
+        self.cdir, self.path = cdir, _cache_path(cdir, key)
+        self.file = self.tmp = None
+        try:
+            os.makedirs(cdir, exist_ok=True)
+            fd, self.tmp = tempfile.mkstemp(dir=cdir, suffix=".tmp")
+            self.file = os.fdopen(fd, "w", encoding="utf-8")
+            self.file.write(f'{{"key": {json.dumps(key)}, "output": "')
+        except OSError as exc:
+            self._fail(exc)
+
+    def write(self, chunk: str) -> None:
+        if self.file is not None:
+            try:
+                self.file.write(json.dumps(chunk)[1:-1])
+            except OSError as exc:
+                self._fail(exc)
+
+    def commit(self) -> None:
+        if self.file is not None:
+            try:
+                self.file.write('"}')
+                self.file.close()
+                os.replace(self.tmp, self.path)
+            except OSError as exc:
+                self._fail(exc)
+
+    def discard(self) -> None:
+        if self.file is not None:
+            f, self.file = self.file, None
+            try:
+                f.close()
+            except OSError:
+                pass  # the entry is dropped either way
+        if self.tmp is not None and os.path.exists(self.tmp):
+            os.unlink(self.tmp)
+
+    def _fail(self, exc: OSError) -> None:
+        print(f"warning: cache store in {self.cdir} failed: {exc}",
+              file=sys.stderr)
+        self.discard()
 
 
-def _with_cache(args, compute) -> str:
-    """compute(), served from or stored in the cache of a --cache command.
+def _with_cache(args, compute):
+    """The output's chunk writer, served from or teed into the --cache.
 
-    The key is the package version plus every parsed option, sorted by
-    name, except those in _NOT_IN_KEY.
+    compute() returns the writer of a freshly computed output; it runs
+    before any output is written.  A hit writes the stored output as one
+    chunk.  On a miss every chunk also goes into a _CacheEntry, which is
+    committed after the last chunk and discarded if the output stops
+    early.  The key is the package version plus every parsed option,
+    sorted by name, except those in _NOT_IN_KEY.
     """
     cdir = "cache" in args and (args.cache or os.environ.get(CACHE_ENV))
     if not cdir:
@@ -92,13 +143,24 @@ def _with_cache(args, compute) -> str:
                                     if k not in _NOT_IN_KEY])
     hit = _cache_lookup(cdir, key)
     if hit is not None:
-        return hit
-    output = compute()
-    try:
-        _cache_store(cdir, key, output)
-    except OSError as exc:
-        print(f"warning: cache store in {cdir} failed: {exc}", file=sys.stderr)
-    return output
+        return lambda write: write(hit)
+    render = compute()
+
+    def teed(write):
+        entry = _CacheEntry(cdir, key)
+
+        def both(chunk):
+            write(chunk)
+            entry.write(chunk)
+
+        try:
+            render(both)
+        except BaseException:
+            entry.discard()
+            raise
+        entry.commit()
+
+    return teed
 
 
 def _enforce_limit(args) -> None:
@@ -119,25 +181,36 @@ def _enforce_limit(args) -> None:
         raise ValueError("--jobs must be at least 1")
 
 
-def _render(args, value) -> str:
-    """value as text or, with --format json, as compact JSON; CSV as is."""
-    if isinstance(value, str):
+def _writer(args, value):
+    """value's chunk writer for --format; a table is its own CSV writer."""
+    if callable(value):
         return value
-    return value.to_json() if args.format == "json" else value.to_text()
+    return value.write_json if args.format == "json" else value.write_text
 
 
-def _emit(args, text: str) -> int:
+def _emit(args, render) -> int:
+    """Pass render's chunks to the --out file, or to stdout.
+
+    On stdout a newline follows unless the output ends with one.
+    """
     out = getattr(args, "out", None)
     if out:
         try:
             with open(out, "w", encoding="utf-8", newline="\n") as f:
-                f.write(text)
+                render(f.write)
         except OSError as exc:
             raise ValueError(f"cannot write --out {out}: {exc}") from None
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        return 0
+    stdout, last = sys.stdout, ""
+
+    def write(chunk):
+        nonlocal last
+        stdout.write(chunk)
+        last = chunk or last
+
+    render(write)
+    if not last.endswith("\n"):
+        stdout.write("\n")
     return 0
 
 
@@ -190,7 +263,8 @@ def _worker_count(jobs: int, cells: int) -> int:
     return min(jobs, cells, os.cpu_count() or 1)
 
 
-def _table(args) -> str:
+def _table(args):
+    """Compute every cell; returns the writer of the CSV, row by row."""
     a, b, mx, var, full = args.a, args.b, args.max, args.var, args.full
     header = "m1,m2,min_deg,max_deg,min_coeff,max_coeff,term_count"
     if full:
@@ -212,9 +286,14 @@ def _table(args) -> str:
     else:
         rows = map(_table_cell, cells)
     tails = {(c[2], c[3]): tail for c, tail in zip(cells, rows)}
-    return "\n".join(
-        [header] + [f"{m1},{m2},{tails[min(m1, m2), max(m1, m2)]}"
-                    for m1 in range(mx + 1) for m2 in range(mx + 1)]) + "\n"
+
+    def write_csv(write):
+        write(header + "\n")
+        for m1 in range(mx + 1):
+            for m2 in range(mx + 1):
+                write(f"{m1},{m2},{tails[min(m1, m2), max(m1, m2)]}\n")
+
+    return write_csv
 
 
 # -- selfcheck ----------------------------------------------------------
@@ -395,8 +474,8 @@ def main(argv=None) -> int:
         _enforce_limit(args)
         if args.command == "selfcheck":  # its own report, never cached
             return _cmd_selfcheck(args)
-        text = _with_cache(args, lambda: _render(args, args.func(args)))
-        return _emit(args, text)
+        return _emit(args, _with_cache(
+            args, lambda: _writer(args, args.func(args))))
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

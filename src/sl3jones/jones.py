@@ -34,7 +34,8 @@ from math import gcd
 from typing import NamedTuple
 
 from .laurent import (InexactDivisionError, NonIntegralExponentError,
-                      ScaledLaurent, UndefinedDegreeError)
+                      ScaledLaurent, UndefinedDegreeError, Write,
+                      _joined)
 from .plethysm2 import psi2_closed
 from .schur3 import schur
 from .sl3rep import Weight, WeightLike, _as_dominant, _twist3
@@ -136,14 +137,21 @@ class ColoredJonesResult:
         return ColoredJonesResult(self.value.mirror(), self.knot, self.color,
                                   flipped)
 
+    def write_text(self, write: Write) -> None:
+        self.value.write_text(write)
+
+    def write_json(self, write: Write) -> None:
+        """Compact JSON: knot, color and variable, then the value's keys."""
+        self.value._write_json_fields(
+            write, f'{{"knot":{{"a":{self.knot.a},"b":{self.knot.b}}},'
+                   f'"color":[{self.color.m1},{self.color.m2}],'
+                   f'"variable":"{self.variable}",')
+
     def to_text(self) -> str:
         return self.value.to_text()
 
     def to_json(self) -> str:
-        """Compact JSON: knot, color and variable, then the value's keys."""
-        return (f'{{"knot":{{"a":{self.knot.a},"b":{self.knot.b}}},'
-                f'"color":[{self.color.m1},{self.color.m2}],'
-                f'"variable":"{self.variable}",{self.value.to_json()[1:]}')
+        return _joined(self.write_json)
 
     def to_json_dict(self) -> dict:
         import json
@@ -178,6 +186,13 @@ class DegreeReport(NamedTuple):
         return "\n".join(
             f"{k} {','.join(map(str, v)) if isinstance(v, list) else v}"
             for k, v in self.to_json_dict().items())
+
+    # the report is eight short lines, so each writer writes it whole
+    def write_text(self, write: Write) -> None:
+        write(self.to_text())
+
+    def write_json(self, write: Write) -> None:
+        write(self.to_json())
 
 
 def _div_stride(dense: list[int], stride: int) -> None:

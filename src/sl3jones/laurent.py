@@ -15,17 +15,21 @@ The public constructor checks and normalizes its input.  An internal
 caller that already guarantees the normal form (scale reduced, no zero
 coefficient, every term an int pair, exponents ascending) builds the
 value with ScaledLaurent._trusted instead, which runs no check and keeps
-the dict it is given.  to_json is the one JSON writer: it writes the text
-straight from the ordered terms, and to_json_dict is its parse.  The
-package's methods that need the json module import it when called, so
-importing the library alone does not load it; the functions that return
-a Fraction (degree_span here, pairing and twist_weyl_check in sl3rep)
+the dict it is given.  write_text and write_json are the one text and
+the one JSON writer: each hands the rendering, straight from the ordered
+terms, to a write callable in chunks of CHUNK_TERMS terms, so a value
+of any size is written holding one chunk.  to_text and to_json join the
+same chunks, and to_json_dict is the parse of to_json.  The package's
+methods that need the json module import it when called, so importing
+the library alone does not load it; the functions that return a
+Fraction (degree_span here, pairing and twist_weyl_check in sl3rep)
 import the fractions module the same way.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
+from itertools import islice
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Union
 
@@ -63,6 +67,20 @@ class UndefinedDegreeError(LaurentError):
 
 
 TermsLike = Union[Mapping[int, int], Iterable[tuple[int, int]]]
+
+# where a writer sends each chunk of its output
+Write = Callable[[str], object]
+
+# terms per chunk of write_text and write_json: their memory is bounded by
+# one chunk, not by the whole text
+CHUNK_TERMS = 4096
+
+
+def _joined(write_chunks: Callable[[Write], None]) -> str:
+    """The chunks that write_chunks(write) writes, as one string."""
+    parts: list[str] = []
+    write_chunks(parts.append)
+    return "".join(parts)
 
 
 def _fraction_text(e: int, scale: int) -> str:
@@ -327,36 +345,66 @@ class ScaledLaurent:
 
     # -- serialization -----------------------------------------------
 
-    def to_text(self) -> str:
-        """Human-readable form, ascending exponents.
+    def write_text(self, write: Write) -> None:
+        """Human-readable form, ascending exponents, in chunks to write.
 
         Terms render as c*q^e with reduced rational exponents, for example
         "1*q^24 + 2*q^(51/2) - 1*q^30".  The zero polynomial renders "0".
+        write is called once per CHUNK_TERMS terms, so no more than one
+        chunk of the text is ever held.
         """
-        if not self._terms:
-            return "0"
+        terms = self._terms
+        if not terms:
+            write("0")
+            return
         scale = self.scale
         # The terms are read in their own ascending order, and the first
         # separator (a bare sign, or none for a plus) is fixed on its own
-        # piece: the text is never copied whole.
-        terms = self._terms.items()
-        parts = [f" + {c}*q^{e}" if c > 0 else f" - {-c}*q^{e}"
-                 for e, c in (terms if scale == 1 else
-                              ((_fraction_text(e, scale), c)
-                               for e, c in terms))]
-        first = parts[0]
-        parts[0] = first[3:] if first[1] == "+" else "-" + first[3:]
-        return "".join(parts)
+        # piece.
+        pairs = iter(terms.items())
+        if scale != 1:
+            pairs = ((_fraction_text(e, scale), c) for e, c in pairs)
+        for start in range(0, len(terms), CHUNK_TERMS):
+            parts = [f" + {c}*q^{e}" if c > 0 else f" - {-c}*q^{e}"
+                     for e, c in islice(pairs, CHUNK_TERMS)]
+            if not start:
+                first = parts[0]
+                parts[0] = first[3:] if first[1] == "+" else "-" + first[3:]
+            write("".join(parts))
 
-    def to_json(self) -> str:
+    def write_json(self, write: Write) -> None:
         """Compact JSON: {"scale":S,"terms":[[exponent,"coefficient"],...]}.
 
         Ascending exponents; coefficients are strings so that no reader
-        loses digits.  Written directly, byte for byte what json.dumps with
-        separators (",", ":") gives for to_json_dict.
+        loses digits.  Written in chunks of CHUNK_TERMS terms, byte for
+        byte what json.dumps with separators (",", ":") gives for
+        to_json_dict.
         """
-        terms = ",".join([f'[{e},"{c}"]' for e, c in self._terms.items()])
-        return f'{{"scale":{self.scale},"terms":[{terms}]}}'
+        self._write_json_fields(write, "{")
+
+    def _write_json_fields(self, write: Write,
+                           head: str) -> None:
+        """head, then the "scale" and "terms" members and the closing brace.
+
+        A type that holds a value writes its own members as head, so the
+        value's terms are never copied into a second string.
+        """
+        terms = self._terms
+        write(f'{head}"scale":{self.scale},"terms":[')
+        pairs = iter(terms.items())
+        for start in range(0, len(terms), CHUNK_TERMS):
+            chunk = ",".join([f'[{e},"{c}"]'
+                              for e, c in islice(pairs, CHUNK_TERMS)])
+            write("," + chunk if start else chunk)
+        write("]}")
+
+    def to_text(self) -> str:
+        """write_text's chunks, joined."""
+        return _joined(self.write_text)
+
+    def to_json(self) -> str:
+        """write_json's chunks, joined."""
+        return _joined(self.write_json)
 
     def to_json_dict(self) -> dict:
         """JSON form as a dict: scale plus [exponent, coefficient-string]."""

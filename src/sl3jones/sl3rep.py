@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Union
 
-from .laurent import ScaledLaurent
+from .laurent import ScaledLaurent, Write
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -250,6 +250,14 @@ class SignedWeightSum:
             mag = "" if abs(c) == 1 else str(abs(c))
             parts.append(f"{sign}{mag}V_{{{m1},{m2}}}")
         return "".join(parts)
+
+    # a weight sum stays small beside an invariant (psi2_closed has
+    # 10,201 terms at (100,100)), so each writer writes it whole
+    def write_text(self, write: Write) -> None:
+        write(self.to_text())
+
+    def write_json(self, write: Write) -> None:
+        write(self.to_json())
 
     def to_json_dict(self) -> dict:
         return {"terms": [[w.m1, w.m2, c] for w, c in self.items()]}

@@ -12,6 +12,7 @@ import pytest
 import sl3jones.cli as cli
 from sl3jones.jones import (TorusKnotSpec, degree_report, jones_rosso,
                             jones_t2b)
+from sl3jones.laurent import InexactDivisionError
 from sl3jones.plethysm2 import psi2_closed
 from sl3jones.sl3rep import qdim_closed, twist_monomial
 
@@ -152,7 +153,7 @@ def test_degrees_json(capsys):
      lambda: twist_monomial((2, 3), 5, 7)),
 ])
 def test_json_output_is_compact_dump_of_the_value(capsys, argv, value):
-    # _render writes each value's own to_json; it must be byte for byte
+    # _writer picks each value's own write_json; it must be byte for byte
     # the compact json.dumps of the value's dict form
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 0
@@ -579,4 +580,107 @@ def test_qdim_twist_never_cached(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.setenv(cli.CACHE_ENV, str(cdir))
     code, _, _ = run(capsys, *argv)
     assert code == 0
+    assert not cdir.exists()
+
+
+# -- streamed output and the cache entry ----------------------------------
+
+BIG_JONES = ("jones", "--b", "3", "--m1", "40", "--m2", "40")  # 9,157 terms
+
+
+@pytest.mark.parametrize("argv", [BIG_JONES,
+                                  BIG_JONES + ("--format", "json"),
+                                  ("table", "--b", "3", "--max", "3")])
+def test_cache_entry_is_the_json_dump_of_its_dict(tmp_path, capsys, argv):
+    # the entry is teed chunk by chunk, yet its bytes are json.dump's of
+    # {"key": ..., "output": ...}, so entries of earlier writers still hit
+    cdir = tmp_path / "cache"
+    code, out, _ = run(capsys, *argv, "--cache", str(cdir))
+    assert code == 0
+    (path,) = cdir.iterdir()
+    raw = path.read_text(encoding="utf-8")
+    entry = json.loads(raw)
+    assert raw == json.dumps(entry)
+    assert list(entry) == ["key", "output"]
+    assert entry["output"].rstrip("\n") + "\n" == out
+    assert run(capsys, *argv, "--cache", str(cdir)) == (0, out, "")
+
+
+def test_cache_write_failing_mid_output_warns_and_stores_nothing(
+        tmp_path, capsys, monkeypatch):
+    argv = ("table", "--b", "3", "--max", "3")  # a header and 16 row chunks
+    _, expect, _ = run(capsys, *argv)
+    real_fdopen = os.fdopen
+
+    class FillsUp:
+        """The entry's file, full after its head and first chunk."""
+
+        def __init__(self, f):
+            self.f, self.writes = f, 0
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes > 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return self.f.write(text)
+
+        def close(self):
+            self.f.close()
+
+    monkeypatch.setattr(cli.os, "fdopen",
+                        lambda *a, **k: FillsUp(real_fdopen(*a, **k)))
+    cdir = tmp_path / "cache"
+    code, out, err = run(capsys, *argv, "--cache", str(cdir))
+    assert code == 0
+    assert out == expect
+    assert err.count("warning") == 1 and "cache store" in err
+    assert list(cdir.iterdir()) == []
+
+
+def test_closed_stdout_on_a_miss_stores_no_entry(tmp_path):
+    # the test_closed_stdout_exits_quietly setup with --cache: the output
+    # stops early, so the entry being teed would be partial
+    cdir = tmp_path / "cache"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sl3jones.cli", *BIG_JONES,
+         "--cache", str(cdir)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.stdout.read(10) == b"1*q^-10000"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert err == b""
+    assert list(cdir.iterdir()) == []
+
+
+def test_failed_out_write_on_a_miss_stores_no_entry(tmp_path, capsys,
+                                                    monkeypatch):
+    class FullFile(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli, "open", lambda *a, **k: FullFile(),
+                        raising=False)
+    cdir = tmp_path / "cache"
+    code, out, err = run(capsys, *BIG_JONES, "--cache", str(cdir),
+                         "--out", str(tmp_path / "out.txt"))
+    assert code == 2 and out == ""
+    assert "cannot write --out" in err
+    assert list(cdir.iterdir()) == []
+
+
+def test_inexact_division_leaves_no_out_file(tmp_path, capsys, monkeypatch):
+    # the value is computed before --out is opened or an entry is begun
+    def inexact(b, color):
+        raise InexactDivisionError("nonzero remainder")
+
+    monkeypatch.setattr(cli, "jones_t2b", inexact)
+    target, cdir = tmp_path / "out.txt", tmp_path / "cache"
+    code, out, err = run(capsys, "jones", "--b", "3", "--m1", "1", "--m2",
+                         "0", "--out", str(target), "--cache", str(cdir))
+    assert code == 3 and out == ""
+    assert "internal consistency error" in err
+    assert not target.exists()
     assert not cdir.exists()
