@@ -6,17 +6,19 @@ value, and _writer picks the value's chunk writer for --format (the
 table is its own CSV writer).  _with_cache serves a cached output or
 tees the chunks of a fresh one into the cache, and _emit opens --out,
 or takes stdout, only once the value is computed and passes each chunk
-straight to it.  So no output is ever held whole: memory is bounded by
-the value and one chunk, and a failed computation leaves no --out file.
+straight to it.  So a computed output is never held whole: memory is
+bounded by the value and one chunk.  A failed computation leaves no
+--out file, a failed --out write leaves what it wrote (--out may be a
+device), and a cache hit loads the whole stored output.
 Output is deterministic for a given parameter set, so jones, plethysm,
-degrees and table cache it content-addressed by the package version
-plus every parsed option that can change it.  A cache entry is whole
-or absent: its chunks go into a temporary file that is moved into place
+degrees and table cache it content-addressed by the package version plus
+every parsed option that can change it.  A cache entry is whole or
+absent: its chunks go into a temporary file that is moved into place
 only after the last one, and any interruption of the output (a closed
 stdout, a failed --out write) removes it.  Corrupt entries are
 recomputed with a warning, and a failed store only warns.  selfcheck
-prints its own report and is never cached.  Exit codes: 0 success,
-2 usage error, 3 internal-consistency failure.
+prints its own report and is never cached.  Exit codes: 0 success, 2
+usage error, 3 internal-consistency failure.
 """
 
 from __future__ import annotations

@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 from .laurent import (InexactDivisionError, NonIntegralExponentError,
                       ScaledLaurent, UndefinedDegreeError, Write,
-                      _joined)
+                      _joined, _Value)
 from .plethysm2 import psi2_closed
 from .schur3 import schur
 from .sl3rep import Weight, WeightLike, _as_dominant, _twist3
@@ -50,7 +50,7 @@ __all__ = [
 ]
 
 
-class TorusKnotSpec:
+class TorusKnotSpec(_Value):
     """The torus knot T(a, b); a and b must be positive and coprime.
 
     Immutable; equal, hashed and printed by its two fields.
@@ -68,28 +68,8 @@ class TorusKnotSpec:
         if gcd(a, b) != 1:
             raise ValueError(f"T({a},{b}) is a link, not a knot")
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TorusKnotSpec is immutable")
 
-    def __delattr__(self, name):
-        raise AttributeError("TorusKnotSpec is immutable")
-
-    def __reduce__(self):
-        return TorusKnotSpec, (self.a, self.b)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.a, self.b) == (other.a, other.b)
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b))
-
-    def __repr__(self) -> str:
-        return f"TorusKnotSpec(a={self.a!r}, b={self.b!r})"
-
-
-class ColoredJonesResult:
+class ColoredJonesResult(_Value):
     """An exact colored invariant value with its provenance.
 
     value is integer-reduced (scale 1); variable records whether the
@@ -107,29 +87,6 @@ class ColoredJonesResult:
         object.__setattr__(self, "knot", knot)
         object.__setattr__(self, "color", color)
         object.__setattr__(self, "variable", variable)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ColoredJonesResult is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("ColoredJonesResult is immutable")
-
-    def __reduce__(self):
-        return ColoredJonesResult, (self.value, self.knot, self.color,
-                                    self.variable)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.value, self.knot, self.color, self.variable)
-                == (other.value, other.knot, other.color, other.variable))
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.knot, self.color, self.variable))
-
-    def __repr__(self) -> str:
-        return (f"ColoredJonesResult(value={self.value!r}, knot={self.knot!r},"
-                f" color={self.color!r}, variable={self.variable!r})")
 
     def mirrored(self) -> "ColoredJonesResult":
         """The same invariant written in the reciprocal variable."""

@@ -14,16 +14,18 @@ lowest exponent and must leave no remainder.
 The public constructor checks and normalizes its input.  An internal
 caller that already guarantees the normal form (scale reduced, no zero
 coefficient, every term an int pair, exponents ascending) builds the
-value with ScaledLaurent._trusted instead, which runs no check and keeps
-the dict it is given.  write_text and write_json are the one text and
-the one JSON writer: each hands the rendering, straight from the ordered
-terms, to a write callable in chunks of CHUNK_TERMS terms, so a value
-of any size is written holding one chunk.  to_text and to_json join the
-same chunks, and to_json_dict is the parse of to_json.  The package's
-methods that need the json module import it when called, so importing
-the library alone does not load it; the functions that return a
-Fraction (degree_span here, pairing and twist_weyl_check in sl3rep)
-import the fractions module the same way.
+value with _trusted instead, which runs no check and keeps the dict it
+is given; _trusted, immutability, pickling, equality, hashing and the
+repr come from _Value, the base of the package's slotted value types.
+write_text and write_json are the one text and the one JSON writer: each
+hands the rendering, straight from the ordered terms, to a write
+callable in chunks of CHUNK_TERMS terms, so a value of any size is
+written holding one chunk.  to_text and to_json join the same chunks,
+and to_json_dict is the parse of to_json.  The package's methods that
+need the json module import it when called, so importing the library
+alone does not load it; the functions that return a Fraction
+(degree_span here, pairing and twist_weyl_check in sl3rep) import the
+fractions module the same way.
 """
 
 from __future__ import annotations
@@ -66,6 +68,55 @@ class UndefinedDegreeError(LaurentError):
     """Degree span requested for the zero polynomial."""
 
 
+class _Value:
+    """An immutable value whose fields are its class's own __slots__.
+
+    A subclass lists __slots__ in constructor-argument order and must
+    declare them itself, or it gains a __dict__ and reads its parent's;
+    a pickle or copy goes through the public constructor.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        """The field values, in __slots__ order."""
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    @classmethod
+    def _trusted(cls, *fields):
+        """The value of fields, built with no check and no copy.
+
+        The caller guarantees what the public constructor would establish
+        and must not change a mutable field afterwards.
+        """
+        self = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields):
+            object.__setattr__(self, name, value)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self.__slots__, self._fields()))
+        return f"{type(self).__name__}({fields})"
+
+
 TermsLike = Union[Mapping[int, int], Iterable[tuple[int, int]]]
 
 # where a writer sends each chunk of its output
@@ -95,7 +146,7 @@ def _stretch(terms: dict[int, int], k: int) -> dict[int, int]:
     return {e * k: c for e, c in terms.items()}
 
 
-class ScaledLaurent:
+class ScaledLaurent(_Value):
     """Sparse exact Laurent polynomial in q^(1/scale), scale reduced.
 
     Instances are immutable: every operation returns a new polynomial.
@@ -132,31 +183,6 @@ class ScaledLaurent:
             clean = {e: clean[e] for e in order}
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "_terms", clean)
-
-    @classmethod
-    def _trusted(cls, scale: int, terms: dict[int, int]) -> "ScaledLaurent":
-        """terms on the 1/scale lattice, built with no check and no copy.
-
-        The caller guarantees what the public constructor would establish:
-        scale is reduced (its gcd with all the exponents is 1), no
-        coefficient is zero, every term is an int pair, and the keys
-        ascend.
-        terms is kept as the value's own dict, so the caller must not
-        change it afterwards.
-        """
-        self = object.__new__(cls)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "_terms", terms)
-        return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ScaledLaurent is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("ScaledLaurent is immutable")
-
-    def __reduce__(self):
-        return ScaledLaurent, (self.scale, self._terms)
 
     # -- constructors ------------------------------------------------
 
@@ -195,12 +221,7 @@ class ScaledLaurent:
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return iter(self._terms.items())
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ScaledLaurent):
-            return NotImplemented
-        return self.scale == other.scale and self._terms == other._terms
-
-    def __hash__(self) -> int:
+    def __hash__(self) -> int:  # _terms is a dict: hash it as a frozenset
         return hash((self.scale, frozenset(self._terms.items())))
 
     def __repr__(self) -> str:

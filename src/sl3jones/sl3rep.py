@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Union
 
-from .laurent import ScaledLaurent, Write
+from .laurent import ScaledLaurent, Write, _Value
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -169,11 +169,13 @@ def twist_weyl_check(w: WeightLike) -> bool:
             == Fraction(twist_exponent(wt), 3))
 
 
-class SignedWeightSum:
+class SignedWeightSum(_Value):
     """Finite Z-linear combination of dominant weights.
 
     Immutable mapping Weight -> nonzero signed multiplicity, with a
     deterministic lexicographic term order for rendering and JSON.
+    The caller of _trusted(terms) guarantees each key is a Weight of two
+    non-negative ints with a nonzero int multiplicity.
     """
 
     __slots__ = ("_terms",)
@@ -190,28 +192,6 @@ class SignedWeightSum:
             clean = {w: c for w, c in clean.items() if c}
         object.__setattr__(self, "_terms", clean)
 
-    @classmethod
-    def _trusted(cls, terms: dict[Weight, int]) -> "SignedWeightSum":
-        """The sum of terms, built with no check and no copy.
-
-        The caller guarantees what the public constructor would establish:
-        every key is a Weight of two non-negative ints, and every
-        multiplicity is a nonzero int.  terms is kept as the value's own
-        dict, so the caller must not change it afterwards.
-        """
-        self = object.__new__(cls)
-        object.__setattr__(self, "_terms", terms)
-        return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SignedWeightSum is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("SignedWeightSum is immutable")
-
-    def __reduce__(self):
-        return SignedWeightSum, (self._terms,)
-
     def items(self) -> tuple[tuple[Weight, int], ...]:
         return tuple(sorted(self._terms.items()))
 
@@ -227,12 +207,7 @@ class SignedWeightSum:
     def __iter__(self):
         return iter(self.items())
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SignedWeightSum):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
+    def __hash__(self) -> int:  # _terms is a dict: hash it as a frozenset
         return hash(frozenset(self._terms.items()))
 
     def __repr__(self) -> str:

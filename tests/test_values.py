@@ -1,8 +1,10 @@
 """The public value types: immutable, equal by value, picklable, copyable.
 
-TorusKnotSpec and ColoredJonesResult are slotted classes written by hand;
-their reprs, equality, hashing and validation messages are pinned here
-literally, so they stay what the CLI and the users print.
+ScaledLaurent, SignedWeightSum, TorusKnotSpec and ColoredJonesResult are
+slotted subclasses of laurent._Value, which derives the whole protocol
+from each class's own __slots__; the rest are NamedTuples.  Their reprs,
+equality, hashing and validation messages are pinned here literally, so
+they stay what the CLI and the users print.
 """
 
 import copy
@@ -13,7 +15,7 @@ import pytest
 
 from sl3jones.jones import (ColoredJonesResult, DegreeReport, TorusKnotSpec,
                             degree_report, jones_rosso, jones_t2b)
-from sl3jones.laurent import ScaledLaurent
+from sl3jones.laurent import ScaledLaurent, _Value
 from sl3jones.sl3rep import ROOT_DATA, RootDataSl3, SignedWeightSum, Weight
 
 T23 = jones_t2b(3, (1, 0))
@@ -52,6 +54,26 @@ def test_every_public_value_type_is_covered():
     assert {type(v) for v in VALUES} == {
         Weight, RootDataSl3, TorusKnotSpec, ColoredJonesResult, DegreeReport,
         ScaledLaurent, SignedWeightSum}
+
+
+def _value_subclasses(cls=_Value):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _value_subclasses(sub)
+
+
+def test_value_subclasses_declare_their_own_slots():
+    # _Value reads the fields from __slots__: a subclass without its own
+    # would gain a __dict__ and compare, hash and pickle its parent's fields
+    subclasses = set(_value_subclasses())
+    assert {ScaledLaurent, SignedWeightSum, TorusKnotSpec,
+            ColoredJonesResult} <= subclasses
+    for cls in subclasses:
+        assert "__slots__" in vars(cls), cls.__name__
+    for value in VALUES:
+        if isinstance(value, _Value):
+            assert not hasattr(value, "__dict__"), type(value).__name__
+            assert type(value)._trusted(*value._fields()) == value
 
 
 def test_reprs():
@@ -95,10 +117,11 @@ def test_equality_and_hash_by_value():
     (SignedWeightSum({(1, 2): -3}), ["_terms", "other"]),
 ])
 def test_attribute_writes_raise(value, names):
+    message = f"^{type(value).__name__} is immutable$"
     for name in names:
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match=message):
             setattr(value, name, 1)
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match=message):
             delattr(value, name)
     assert value == copy.copy(value)
 
