@@ -7,8 +7,10 @@ permutation's sign and subtracting delta again; the Schur polynomial of
 a partition is the sum of x^weight over its Gelfand-Tsetlin patterns.
 Every Schur-basis expansion is one straightening pass: decompose_schur
 straightens the monomials of a symmetric polynomial (the Brauer-Klimyk
-rule with s_0 = 1), and the identity checks straighten their case-table
-rows the same way before comparing both sides as sl3 weights.
+rule with s_0 = 1), products in the Schur basis straighten the index
+sums lam + nu of the same rule without expanding any Schur polynomial,
+and the identity checks straighten their case-table rows the same way
+before comparing both sides as sl3 weights.
 The plethysm oracle applies an Adams operation x_i -> x_i^a to a
 character and decomposes the result; it is the independent cross-check
 for the closed second-plethysm formula in the plethysm2 module, and for
@@ -19,7 +21,6 @@ Adams image with no decomposition.
 from __future__ import annotations
 
 import functools
-from itertools import permutations
 from typing import Dict, Tuple
 
 from .sl3rep import SignedWeightSum, WeightLike, _as_dominant
@@ -53,7 +54,13 @@ class NotSymmetricError(ValueError):
 
 
 def mul_sym(f: SymPoly3, g: SymPoly3) -> SymPoly3:
-    """Product of two sparse trivariate polynomials."""
+    """Product of two sparse trivariate polynomials, monomial by monomial.
+
+    No product in this module goes through it: Schur products use the
+    Brauer-Klimyk rule in _product.  It is kept as the tests' independent
+    reference for that rule and for the alternant identities, and as a
+    name the benchmark's tracer rebinds.
+    """
     if len(f) > len(g):
         f, g = g, f
     out: SymPoly3 = {}
@@ -72,11 +79,15 @@ def adams(f: SymPoly3, a: int) -> SymPoly3:
 
 
 def is_symmetric(f: SymPoly3) -> bool:
-    """True when the coefficient map is constant on permutation orbits."""
-    for mono, c in f.items():
-        for p in set(permutations(mono)):
-            if f.get(p, 0) != c:
-                return False
+    """True when the coefficient map is constant on permutation orbits.
+
+    Tests the two generators of S_3, the transposition (1 2) and the
+    3-cycle (1 2 3), at every monomial: invariance under both is
+    invariance under the whole group.
+    """
+    for (e1, e2, e3), c in f.items():
+        if f.get((e2, e1, e3), 0) != c or f.get((e2, e3, e1), 0) != c:
+            return False
     return True
 
 
@@ -85,16 +96,21 @@ def straighten(lam: GLIndex) -> tuple[int, GLIndex] | None:
 
     Adds the staircase (2, 1, 0), sorts, and subtracts it back; a repeated
     shifted exponent means the alternant vanishes and None is returned.
+    The sort is three compare-and-swaps, each flipping the sign.  An
+    index without exactly three entries raises ValueError.
     """
-    a = tuple(lam[i] + _DELTA[i] for i in range(3))
-    if len(set(a)) < 3:
+    l1, l2, l3 = lam
+    a, b, c = l1 + 2, l2 + 1, l3
+    if a == b or b == c or a == c:
         return None
-    srt = tuple(sorted(a, reverse=True))
-    # sign of the permutation taking a to sorted order (3 entries: count
-    # inversions directly)
-    inv = sum(1 for i in range(3) for j in range(i + 1, 3) if a[i] < a[j])
-    part = tuple(srt[i] - _DELTA[i] for i in range(3))
-    return (-1 if inv % 2 else 1, part)
+    sign = 1
+    if a < b:
+        a, b, sign = b, a, -sign
+    if b < c:
+        b, c, sign = c, b, -sign
+        if a < b:
+            a, b, sign = b, a, -sign
+    return sign, (a - 2, b - 1, c)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -161,9 +177,22 @@ def decompose_schur(f: SymPoly3) -> dict[GLIndex, int]:
     return _straighten_sum(f.items())
 
 
-def _product(f: SymPoly3, g: SymPoly3) -> dict[GLIndex, int]:
-    """Schur expansion of the product of two symmetric polynomials."""
-    return decompose_schur(mul_sym(f, g))
+def _product(f: dict[GLIndex, int], g: SymPoly3) -> dict[GLIndex, int]:
+    """Schur expansion of (sum of c_lam * s_lam) times a symmetric g.
+
+    f is in the Schur basis and g in the monomial basis.  By the
+    Brauer-Klimyk rule (Fulton and Harris, Representation Theory, section
+    25; Humphreys, Introduction to Lie Algebras and Representation
+    Theory, section 24), s_lam * g is the sum of g_nu * s_(lam + nu) over
+    the monomials x^nu of g, each index straightened; no Schur polynomial
+    is expanded.  Raises NotSymmetricError for a non-symmetric g, for
+    which the rule does not hold.
+    """
+    if not is_symmetric(g):
+        raise NotSymmetricError("factor is not a symmetric polynomial")
+    return _straighten_sum(((l1 + n1, l2 + n2, l3 + n3), c * d)
+                           for (l1, l2, l3), c in f.items()
+                           for (n1, n2, n3), d in g.items())
 
 
 def _weights(pairs) -> SignedWeightSum:
@@ -206,7 +235,7 @@ def verify_lemma_LR(m1: int, m2: int) -> bool:
         raise ValueError(f"({m1}, {m2}) is not a two-row partition")
 
     def times(lam, g):
-        return _weights(_product(schur(lam), g).items())
+        return _weights(_product({lam: 1}, g).items())
 
     def row(terms):  # (coeff, a, b) -> the sum of coeff * s_{a,b}
         return _weights(_straighten_sum(((a, b, 0), c)
@@ -265,7 +294,7 @@ def verify_lemma_psi2_recurrence(m1: int, m2: int) -> bool:
     def psi2(a, b):
         return adams(schur((a, b, 0)), 2)
 
-    rhs = list(_product(psi2(m1, m2), _P2).items())
+    rhs = list(_product(decompose_schur(psi2(m1, m2)), _P2).items())
     for a, b in ((m1 + 1, m2), (m1 - 1, m2 - 1)):
         rhs += [(part, -c) for part, c in decompose_schur(psi2(a, b)).items()]
     lhs = decompose_schur(psi2(m1, m2 + 1))

@@ -1,5 +1,7 @@
 """Schur polynomials, straightening, decomposition, Adams plethysm."""
 
+from itertools import permutations, product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -66,6 +68,28 @@ def test_straighten_examples():
     assert straighten((3, -1, 0)) is None
 
 
+def straighten_reference(lam):
+    """Sort the shifted index and count inversions for the sign."""
+    a = tuple(lam[i] + (2, 1, 0)[i] for i in range(3))
+    if len(set(a)) < 3:
+        return None
+    srt = tuple(sorted(a, reverse=True))
+    inv = sum(1 for i in range(3) for j in range(i + 1, 3) if a[i] < a[j])
+    part = tuple(srt[i] - (2, 1, 0)[i] for i in range(3))
+    return (-1 if inv % 2 else 1, part)
+
+
+def test_straighten_matches_sort_reference():
+    for lam in product(range(-4, 8), repeat=3):
+        assert straighten(lam) == straighten_reference(lam), lam
+
+
+@pytest.mark.parametrize("lam", [(0, 0, 0, 9), (0, 0), (), (1, 0, 0, 0)])
+def test_straighten_rejects_index_not_of_length_three(lam):
+    with pytest.raises(ValueError):
+        straighten(lam)
+
+
 def alternant(exps):
     """a_exps = det(x_i^exps_j), built from its six signed monomials."""
     out = {}
@@ -115,6 +139,44 @@ def test_is_symmetric():
     assert is_symmetric({})
 
 
+def is_symmetric_reference(f):
+    return all(f.get(p, 0) == c
+               for mono, c in f.items() for p in set(permutations(mono)))
+
+
+def symmetrized(f):
+    out = {}
+    for mono, c in f.items():
+        for p in set(permutations(mono)):
+            out[p] = c
+    return out
+
+
+exponents = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
+polys = st.dictionaries(exponents, st.integers(-3, 3), max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys, st.booleans())
+def test_is_symmetric_matches_permutation_reference(f, symmetrize):
+    if symmetrize:
+        f = symmetrized(f)
+    assert is_symmetric(f) == is_symmetric_reference(f)
+    if symmetrize:
+        assert is_symmetric(f)
+
+
+@pytest.mark.parametrize("changed", [(1, 3, 0), (0, 1, 3), (2, 1, 1)])
+def test_is_symmetric_rejects_one_changed_orbit_member(changed):
+    f = schur((3, 1, 0))
+    f[changed] += 1
+    assert not is_symmetric(f)
+    assert not is_symmetric_reference(f)
+    del f[changed]
+    assert not is_symmetric(f)
+    assert not is_symmetric_reference(f)
+
+
 def test_decompose_zero_and_one():
     assert decompose_schur({}) == {}
     assert decompose_schur({(0, 0, 0): 1}) == {(0, 0, 0): 1}
@@ -143,6 +205,50 @@ def test_decompose_product_round_trip(lam, mu):
 def test_p2_is_second_adams_image_of_s1():
     assert schur3._P2 == adams(schur((1, 0, 0)), 2)
     assert decompose_schur(schur3._P2) == {(2, 0, 0): 1, (1, 1, 0): -1}
+
+
+# -- Brauer-Klimyk products ------------------------------------------------
+
+FACTORS = [schur((1, 0, 0)), schur((2, 0, 0)), schur((1, 1, 0)),
+           schur((3, 1, 0)), schur((2, 2, 1)), schur3._P2]
+
+
+@pytest.mark.parametrize("g", FACTORS, ids=["s1", "s2", "s11", "s31",
+                                            "s221", "p2"])
+def test_product_matches_monomial_reference(g):
+    # mul_sym expands s_lam into monomials: the rule's independent reference
+    for l1 in range(9):
+        for l2 in range(l1 + 1):
+            for l3 in range(l2 + 1):
+                lam = (l1, l2, l3)
+                assert schur3._product({lam: 1}, g) == \
+                    decompose_schur(mul_sym(schur(lam), g)), lam
+
+
+def test_product_of_second_adams_images_with_p2():
+    for m1 in range(7):
+        for m2 in range(m1 + 1):
+            psi2 = adams(schur((m1, m2, 0)), 2)
+            got = schur3._product(decompose_schur(psi2), schur3._P2)
+            assert got == decompose_schur(mul_sym(psi2, schur3._P2)), (m1, m2)
+
+
+def test_product_rejects_non_symmetric_factor():
+    with pytest.raises(NotSymmetricError):
+        schur3._product({(1, 0, 0): 1}, {(1, 0, 0): 1})
+
+
+def test_lemma_checks_expand_no_monomial_product(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a product was expanded into monomials")
+
+    monkeypatch.setattr(schur3, "mul_sym", refuse)
+    for m1 in range(9):
+        for m2 in range(m1 + 1):
+            assert verify_lemma_LR(m1, m2), (m1, m2)
+    for m1 in range(1, 8):
+        for m2 in range(m1):
+            assert verify_lemma_psi2_recurrence(m1, m2), (m1, m2)
 
 
 def test_mul_identity():
