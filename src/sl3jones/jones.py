@@ -18,9 +18,9 @@ on the 1/(6a) lattice, which is divided by the three factors
 prefix sum along stride n of the dense coefficient list, and the sign
 (-1)^3 of the three factors is folded into the numerator's signs; each
 division must leave a zero remainder, and the result must reduce to
-integer exponents.  The result is built once, from the dense list: its
-nonzero entries, in ascending order, become the value's term dict with
-no second check or copy.
+integer exponents.  The result is built once, on the dense list: its
+nonzero entries, in ascending order, are the value's term map through a
+_DenseTerms view, with no second check, copy or dict.
 
 Internally everything is a polynomial in q; results for the 1/q
 convention are obtained by mirroring at the edge, and the variable tag
@@ -29,13 +29,13 @@ travels with the result.
 
 from __future__ import annotations
 
-from itertools import accumulate, compress
+from itertools import accumulate
 from math import gcd
 from typing import NamedTuple
 
 from .laurent import (InexactDivisionError, NonIntegralExponentError,
                       ScaledLaurent, UndefinedDegreeError, Write,
-                      _joined, _Value)
+                      _DenseTerms, _joined, _Value)
 from .plethysm2 import psi2_closed
 from .schur3 import schur
 from .sl3rep import Weight, WeightLike, _as_dominant, _twist3
@@ -212,11 +212,9 @@ def _rosso_jones(weights: dict[tuple[int, int], int], a: int, b: int,
     if step % scale or base % scale:
         raise NonIntegralExponentError(
             f"T({a},{b}) at color {tuple(color)} has fractional exponents")
-    base, step = base // scale, step // scale
     # scale 1, ascending int exponents, the zero entries left out
-    exponents = range(base, base + step * len(dense), step)
-    return ScaledLaurent._trusted(1, dict(compress(zip(exponents, dense),
-                                                   dense)))
+    return ScaledLaurent._trusted(
+        1, _DenseTerms(base // scale, step // scale, dense))
 
 
 def jones_t2b(b: int, color: WeightLike) -> ColoredJonesResult:
@@ -266,13 +264,21 @@ def degree_report(result: ColoredJonesResult) -> DegreeReport:
     lo_e, hi_e = next(iter(terms)), next(reversed(terms))
     lo_c = min(terms.values())
     hi_c = max(terms.values())
+    # one pass for both lists: the evaluator's dense term map makes an
+    # exponent int at every step of every pass over its keys
+    lows, highs = [], []
+    for e, c in terms.items():
+        if c == lo_c:
+            lows.append(e)
+        if c == hi_c:
+            highs.append(e)
     return DegreeReport(
         min_deg=lo_e,
         max_deg=hi_e,
         min_coeff=lo_c,
         max_coeff=hi_c,
-        min_coeff_exponents=tuple(e for e, c in terms.items() if c == lo_c),
-        max_coeff_exponents=tuple(e for e, c in terms.items() if c == hi_c),
+        min_coeff_exponents=tuple(lows),
+        max_coeff_exponents=tuple(highs),
         leading=terms[hi_e],
         trailing=terms[lo_e],
     )

@@ -1,22 +1,27 @@
 """Exact Laurent polynomials in a fractional power of q.
 
 A ScaledLaurent with scale D represents an element of Z[q^(1/D), q^(-1/D)]:
-the term c*q^(e/D) is stored as the dict entry e -> c with an arbitrary
+the term c*q^(e/D) is the entry e -> c of its term map, with an arbitrary
 precision integer coefficient.  Like a Fraction, the value keeps D
 reduced: D is the smallest lattice the exponents live on, so equal values
 have equal scales and terms, and the zero polynomial (the empty term map)
-has scale 1.  Zero coefficients are never stored, and the term dict keeps
-its exponents in ascending order, so every reader walks the terms in
-order with no sort.  Binary operations work on the lcm of the two
-scales.  All arithmetic is exact; division is long division from the
-lowest exponent and must leave no remainder.
+has scale 1.  The term map has no zero entry and keeps its exponents in
+ascending order, so every reader walks the terms in order with no sort.
+It is a dict, or the _DenseTerms view the torus-knot evaluator puts over
+the dense coefficient list it already holds, so a large invariant keeps
+no dict entry or exponent int per term; every reader goes through the
+Mapping protocol, so no reader has a second code path.  Binary
+operations work on the lcm of the two scales.  All arithmetic is exact;
+division is long division from the lowest exponent and must leave no
+remainder.
 
-The public constructor checks and normalizes its input.  An internal
-caller that already guarantees the normal form (scale reduced, no zero
-coefficient, every term an int pair, exponents ascending) builds the
-value with _trusted instead, which runs no check and keeps the dict it
-is given; _trusted, immutability, pickling, equality, hashing and the
-repr come from _Value, the base of the package's slotted value types.
+The public constructor checks and normalizes its input, and always keeps
+a dict.  An internal caller that already guarantees the normal form
+(scale reduced, no zero entry, every term an int pair, exponents
+ascending) builds the value with _trusted instead, which runs no check
+and keeps the term map it is given, a dict or a _DenseTerms; _trusted,
+immutability, pickling, equality, hashing and the repr come from _Value,
+the base of the package's slotted value types.
 write_text and write_json are the one text and the one JSON writer: each
 hands the rendering, straight from the ordered terms, to a write
 callable in chunks of CHUNK_TERMS terms, so a value of any size is
@@ -30,8 +35,9 @@ fractions module the same way.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Mapping
-from itertools import islice
+from collections.abc import (Callable, Iterable, ItemsView, Iterator, Mapping,
+                             ValuesView)
+from itertools import compress, islice
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Union
 
@@ -141,7 +147,83 @@ def _fraction_text(e: int, scale: int) -> str:
     return str(n) if d == 1 else f"({n}/{d})"
 
 
-def _stretch(terms: dict[int, int], k: int) -> dict[int, int]:
+class _DenseTerms(Mapping):
+    """Read-only ascending term map over a dense coefficient list.
+
+    The exponent base + i*step, for step >= 1, maps to coeffs[i]; a zero
+    entry of coeffs is no term.  Iteration runs over the nonzero entries
+    with compress, lookups are index arithmetic, and nothing is copied, so
+    the caller must not change coeffs afterwards.  A pickle or copy is a
+    plain dict.
+    """
+
+    __slots__ = ("_keys", "_coeffs", "_len")
+
+    def __init__(self, base: int, step: int, coeffs: list[int]):
+        self._keys = range(base, base + step * len(coeffs), step)
+        self._coeffs = coeffs
+        self._len = len(coeffs) - coeffs.count(0)
+
+    def __iter__(self) -> Iterator[int]:
+        return compress(self._keys, self._coeffs)
+
+    def __reversed__(self) -> Iterator[int]:
+        return compress(reversed(self._keys), reversed(self._coeffs))
+
+    def __len__(self) -> int:
+        return self._len
+
+    def get(self, e, default=None):
+        # `in` and index on a range are arithmetic for an int only; any
+        # other key would be a scan
+        if isinstance(e, int) and e in self._keys:
+            return self._coeffs[self._keys.index(e)] or default
+        return default
+
+    def __getitem__(self, e) -> int:
+        c = self.get(e)
+        if c is None:
+            raise KeyError(e)
+        return c
+
+    def __eq__(self, other) -> bool:
+        # over the same exponents the maps are equal when the lists are,
+        # with no dict built for either side
+        if isinstance(other, _DenseTerms) and self._keys == other._keys:
+            return self._coeffs == other._coeffs
+        return Mapping.__eq__(self, other)
+
+    def items(self) -> "_DenseItems":
+        return _DenseItems(self)
+
+    def values(self) -> "_DenseValues":
+        return _DenseValues(self)
+
+    def __reduce__(self):
+        return dict, (), None, None, iter(self.items())
+
+
+class _DenseItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        m = self._mapping
+        return compress(zip(m._keys, m._coeffs), m._coeffs)
+
+    def __reversed__(self) -> Iterator[tuple[int, int]]:
+        m = self._mapping
+        return compress(zip(reversed(m._keys), reversed(m._coeffs)),
+                        reversed(m._coeffs))
+
+
+class _DenseValues(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[int]:
+        return filter(None, self._mapping._coeffs)
+
+
+def _stretch(terms: Mapping[int, int], k: int) -> dict[int, int]:
     """terms with every exponent multiplied by k."""
     return {e * k: c for e, c in terms.items()}
 
@@ -158,8 +240,9 @@ class ScaledLaurent(_Value):
         if not isinstance(scale, int) or scale < 1:
             raise ScaleError(f"scale must be a positive integer, got {scale!r}")
         if isinstance(terms, Mapping):
-            # unique keys: one copy and one check over the distinct types
-            clean = dict(terms)
+            # unique keys: one copy and one check over the distinct types;
+            # the pairs, since dict(m) reads a non-dict m key by key
+            clean = dict(terms.items())
             if not all(issubclass(t, int) for t in
                        {*map(type, clean), *map(type, clean.values())}):
                 e, c = next((e, c) for e, c in clean.items()
@@ -221,7 +304,7 @@ class ScaledLaurent(_Value):
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return iter(self._terms.items())
 
-    def __hash__(self) -> int:  # _terms is a dict: hash it as a frozenset
+    def __hash__(self) -> int:  # _terms is a Mapping: hash it as a frozenset
         return hash((self.scale, frozenset(self._terms.items())))
 
     def __repr__(self) -> str:
@@ -233,7 +316,7 @@ class ScaledLaurent(_Value):
 
     # -- ring operations ---------------------------------------------
 
-    def _common(self, other: "ScaledLaurent") -> tuple[int, dict, dict]:
+    def _common(self, other: "ScaledLaurent") -> tuple[int, Mapping, Mapping]:
         """Both term maps on the lattice of lcm(self.scale, other.scale)."""
         s, t = self.scale, other.scale
         if s == t:
@@ -245,7 +328,7 @@ class ScaledLaurent(_Value):
         if not isinstance(other, ScaledLaurent):
             return NotImplemented
         scale, a, b = self._common(other)
-        out = dict(a)
+        out = dict(a.items())
         for e, c in b.items():
             out[e] = out.get(e, 0) + c
         return ScaledLaurent(scale, out)

@@ -11,7 +11,8 @@ from sl3jones.jones import (ColoredJonesResult, TorusKnotSpec, _div_stride,
                             _rosso_jones, degree_report, jones_rosso,
                             jones_t2b)
 from sl3jones.laurent import (InexactDivisionError, NonIntegralExponentError,
-                              ScaledLaurent, UndefinedDegreeError)
+                              ScaledLaurent, UndefinedDegreeError,
+                              _DenseTerms)
 from sl3jones.plethysm2 import psi2_closed
 from sl3jones.schur3 import psi_oracle
 from sl3jones.sl3rep import (SignedWeightSum, Weight, qdim_closed,
@@ -312,9 +313,11 @@ def test_jones_rosso_makes_no_schur_decomposition(monkeypatch):
 
 def assert_as_public(value):
     # the evaluator skips the public constructor; it must still build
-    # exactly its value: scale 1, int terms, no zero coefficient
+    # exactly its value: scale 1, int terms, no zero coefficient; its
+    # term map is the view over the dense list, not a dict
+    assert type(value._terms) is _DenseTerms
     public = ScaledLaurent(1, dict(value.items()))
-    assert value == public
+    assert value == public and hash(value) == hash(public)
     assert value.items() == public.items()
     assert all(type(e) is int and type(c) is int and c
                for e, c in value.items())

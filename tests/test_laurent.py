@@ -1,14 +1,16 @@
 """Exact Laurent arithmetic on the fractional exponent lattice."""
 
+import copy
+import pickle
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sl3jones.laurent import (InexactDivisionError, ScaledLaurent, ScaleError,
-                              UndefinedDegreeError)
+                              UndefinedDegreeError, _DenseTerms)
 
 
 def L(terms, scale=6):
@@ -374,3 +376,81 @@ def test_from_json_dict_orders_unsorted_terms():
     f = ScaledLaurent.from_json_dict(
         {"scale": 2, "terms": [[5, "1"], [-3, "2"], [1, "-1"]]})
     assert list(f._terms) == [-3, 1, 5]
+
+
+# -- the evaluator's dense term map --------------------------------------
+
+# (base, step, coeffs): zeros anywhere in coeffs, a negative base allowed
+dense_specs = st.tuples(st.integers(-50, 50), st.integers(1, 5),
+                        st.lists(st.integers(-3, 3), max_size=20))
+
+
+def dense_ref(base, step, coeffs):
+    """The dict _DenseTerms(base, step, coeffs) stands for."""
+    return {base + i * step: c for i, c in enumerate(coeffs) if c}
+
+
+@settings(max_examples=200)
+@given(dense_specs)
+@example((-7, 3, [0, 0, 2, 0, -1, 0, 0]))
+@example((4, 2, [0, 0, 0]))
+@example((0, 1, []))
+def test_dense_terms_match_a_dict(spec):
+    base, step, coeffs = spec
+    d, ref = _DenseTerms(base, step, coeffs), dense_ref(base, step, coeffs)
+    assert list(d) == list(ref)
+    assert list(reversed(d)) == list(reversed(ref))
+    assert list(d.items()) == list(ref.items())
+    assert list(reversed(d.items())) == list(reversed(ref.items()))
+    assert list(d.values()) == list(ref.values())
+    assert len(d) == len(ref) and bool(d) == bool(ref)
+    for e in range(base - 2 * step - 1, base + step * (len(coeffs) + 2)):
+        assert (e in d) == (e in ref)
+        assert d.get(e) == ref.get(e) and d.get(e, 0) == ref.get(e, 0)
+        if e in ref:
+            assert d[e] == ref[e]
+        else:
+            with pytest.raises(KeyError):
+                d[e]
+    assert "x" not in d and d.get("x", 0) == 0
+    assert d == ref and ref == d and not d != ref
+    assert d != {**ref, base - 1: 1}
+    assert d == _DenseTerms(base, step, list(coeffs))
+    assert d == _DenseTerms(base - step, step, [0, *coeffs, 0])
+    assert d != _DenseTerms(base, step, coeffs + [1])
+    if coeffs:
+        assert d != _DenseTerms(base, step, [coeffs[0] + 1, *coeffs[1:]])
+    for twin in (pickle.loads(pickle.dumps(d)), copy.copy(d),
+                 copy.deepcopy(d)):
+        assert type(twin) is dict and list(twin.items()) == list(ref.items())
+    f, g = ScaledLaurent._trusted(1, d), ScaledLaurent(1, ref)
+    assert f == g and g == f and hash(f) == hash(g)
+
+
+@settings(max_examples=120)
+@given(dense_specs, lattice_polys)
+def test_value_on_dense_terms_equals_value_on_a_dict(spec, h):
+    # every reader of the term map gives the same result for a value
+    # backed by _DenseTerms as for the same value backed by a dict
+    f = ScaledLaurent._trusted(1, _DenseTerms(*spec))
+    g = ScaledLaurent(1, dense_ref(*spec))
+    assert type(g._terms) is dict
+    pairs = [(f + h, g + h), (h + f, h + g), (-f, -g), (f - h, g - h),
+             (f.mirror(), g.mirror()), (f * h, g * h), (3 * f, 3 * g),
+             (pickle.loads(pickle.dumps(f)), g), (copy.copy(f), g),
+             (ScaledLaurent(1, f._terms), g)]
+    if h:
+        pairs.append(((f * h).div_exact(h), g))
+    if g:
+        pairs.append((f.div_exact(g), ScaledLaurent.one()))
+    for x, y in pairs:
+        assert x == y and hash(x) == hash(y)
+        assert type(x._terms) is dict and ascends(x)
+        assert list(x._terms.items()) == list(y._terms.items())
+    assert f.items() == g.items() and list(f) == list(g)
+    assert f.to_text() == g.to_text() and f.to_json() == g.to_json()
+    assert repr(f) == repr(g) and f.term_count == g.term_count
+    assert f.eval_one() == g.eval_one()
+    assert all(f.coefficient(e) == g.coefficient(e) for e in range(-60, 160))
+    if g:
+        assert f.degree_span() == g.degree_span()

@@ -15,6 +15,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sl3jones import cli
 from sl3jones.jones import (ColoredJonesResult, DegreeReport, TorusKnotSpec,
                             degree_report, jones_rosso, jones_t2b)
 from sl3jones.laurent import CHUNK_TERMS, ScaledLaurent, _fraction_text
@@ -273,3 +274,20 @@ def test_writers_hold_one_chunk_not_the_text():
             tracemalloc.stop()
         assert written > 2 * 2**20
         assert peak < 1.5 * 2**20, (write_chunks.__name__, peak)
+
+
+def test_large_invariant_to_out_stays_small(tmp_path, monkeypatch):
+    # b = 51 at (40, 40), 2.6 MiB of JSON: the value is a view over the
+    # evaluator's dense list and the output streams in chunks, so the
+    # whole command allocates far less than a dict of its 154,288 terms
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    out = tmp_path / "t251.json"
+    tracemalloc.start()
+    try:
+        code = cli.main(["jones", "--b", "51", "--m1", "40", "--m2", "40",
+                         "--format", "json", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and out.stat().st_size > 2 * 2**20
+    assert peak < 10 * 2**20, peak
