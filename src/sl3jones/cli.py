@@ -32,8 +32,8 @@ import sys
 import tempfile
 
 from . import __version__
-from .jones import (TorusKnotSpec, _rosso_jones, degree_report, jones_rosso,
-                    jones_t2b)
+from .jones import (TorusKnotSpec, _rosso_jones, _t2b_diagonal, degree_report,
+                    jones_rosso, jones_t2b)
 from .laurent import LaurentError
 from .plethysm2 import psi2_closed, psi2_schur_form, signed_dimension
 from .schur3 import psi_oracle, verify_lemma_LR, verify_lemma_psi2_recurrence
@@ -248,21 +248,34 @@ def _twist(args):
     return twist_monomial((args.m1, args.m2), args.num, args.den)
 
 
-def _table_cell(cell) -> str:
-    """The row of one cell after its m1,m2 columns."""
-    a, b, m1, m2, var, full = cell
-    res = _compute_result(a, b, m1, m2, var)
-    rep = degree_report(res)
-    tail = (f"{rep.min_deg},{rep.max_deg},{rep.min_coeff},{rep.max_coeff},"
-            f"{res.value.term_count}")
-    if full:
-        tail += f",{res.value.to_text()}"
-    return tail
+def _table_chain(task) -> list[tuple[tuple[int, int], str]]:
+    """(color, row after its m1,m2 columns) for each cell of one chain.
+
+    The chain ends at the cell top.  For a = 2 it is the whole diagonal
+    below top, evaluated from one growing numerator (_t2b_diagonal);
+    otherwise it is top alone.
+    """
+    a, b, top, var, full = task
+    if a == 2:
+        results = _t2b_diagonal(b, top)
+    else:
+        results = [jones_rosso(TorusKnotSpec(a, b), top)]
+    rows = []
+    for res in results:
+        if var == "qinv":
+            res = res.mirrored()
+        rep = degree_report(res)
+        tail = (f"{rep.min_deg},{rep.max_deg},{rep.min_coeff},"
+                f"{rep.max_coeff},{res.value.term_count}")
+        if full:
+            tail += f",{res.value.to_text()}"
+        rows.append((res.color, tail))
+    return rows
 
 
-def _worker_count(jobs: int, cells: int) -> int:
-    """Pool size for --jobs: no more workers than cells or CPUs."""
-    return min(jobs, cells, os.cpu_count() or 1)
+def _worker_count(jobs: int, tasks: int) -> int:
+    """Pool size for --jobs: no more workers than tasks or CPUs."""
+    return min(jobs, tasks, os.cpu_count() or 1)
 
 
 def _table(args):
@@ -273,21 +286,25 @@ def _table(args):
         header += ",polynomial"
     # J(m1, m2) = J(m2, m1): V_(m2,m1) is dual to V_(m1,m2) and torus
     # knots are invertible.  So only the cells with m1 <= m2 are computed,
-    # largest first, and each row with m1 > m2 is its mirror's row with
-    # the colors swapped.
-    cells = sorted(((a, b, m1, m2, var, full)
-                    for m1 in range(mx + 1) for m2 in range(m1, mx + 1)),
-                   key=lambda c: dimension((c[2], c[3])), reverse=True)
-    workers = _worker_count(args.jobs, len(cells))
+    # and each row with m1 > m2 is its mirror's row with the colors
+    # swapped.  For a = 2 a chain is a diagonal (j, j + d), which ends at
+    # (mx - d, mx); otherwise it is one cell.  The largest go first.
+    if a == 2:
+        tops = [(mx - d, mx) for d in range(mx + 1)]
+    else:
+        tops = [(m1, m2) for m1 in range(mx + 1) for m2 in range(m1, mx + 1)]
+    tasks = sorted(((a, b, top, var, full) for top in tops),
+                   key=lambda t: dimension(t[2]), reverse=True)
+    workers = _worker_count(args.jobs, len(tasks))
     if workers > 1:
         from multiprocessing import Pool  # only a parallel table pays for it
 
-        # one cell per task, so no worker draws a chunk of big cells last
+        # one chain per task, so no worker draws a chunk of big chains last
         with Pool(workers) as pool:
-            rows = pool.map(_table_cell, cells, chunksize=1)
+            chains = pool.map(_table_chain, tasks, chunksize=1)
     else:
-        rows = map(_table_cell, cells)
-    tails = {(c[2], c[3]): tail for c, tail in zip(cells, rows)}
+        chains = map(_table_chain, tasks)
+    tails = {color: tail for rows in chains for color, tail in rows}
 
     def write_csv(write):
         write(header + "\n")
@@ -356,6 +373,16 @@ def _selfcheck_properties(mx: int):
                 and all(jones_rosso(knot, w).value
                         == jones_rosso(knot, w[::-1]).value for w in pairs))
 
+    def table_chain_equivalence():
+        # the table's growing diagonal numerators against a fresh plethysm
+        # and numerator per cell; the diagonals ending on the top and
+        # right edges cover the square
+        tops = [(m1, mx) for m1 in range(mx + 1)]
+        tops += [(mx, m2) for m2 in range(mx)]
+        return all(res == jones_t2b(b, res.color)
+                   for b in (3, 5) for top in tops
+                   for res in _t2b_diagonal(b, top))
+
     def unknot_normalization():
         if not all(jones_t2b(1, w).value == jones_t2b(1, w).value.one()
                    for w in rng2):
@@ -374,6 +401,7 @@ def _selfcheck_properties(mx: int):
         ("oracle-route-equivalence", oracle_route_equivalence),
         ("torus-symmetry", torus_symmetry),
         ("color-swap-symmetry", color_swap_symmetry),
+        ("table-chain-equivalence", table_chain_equivalence),
         ("unknot-normalization", unknot_normalization),
     ]
 

@@ -13,14 +13,21 @@ is {m1+1}{m2+1}{m1+m2+2} / ({1}^3 [2]) and the shared denominator cancels.
 Since m1+m2+2 = (m1+1) + (m2+1), the product {A}{B}{A+B} is the six-term
 Weyl alternant: of its eight signed monomials, the two at the twist
 exponent itself cancel.  So each mu adds six signed monomials to one sum
-on the 1/(6a) lattice, which is divided by the three factors
-{n} = -q^(-n/2) (1 - q^n) of qdim(w).  Dividing by 1 - q^n is a plain
-prefix sum along stride n of the dense coefficient list, and the sign
-(-1)^3 of the three factors is folded into the numerator's signs; each
-division must leave a zero remainder, and the result must reduce to
-integer exponents.  The result is built once, on the dense list: its
-nonzero entries, in ascending order, are the value's term map through a
-_DenseTerms view, with no second check, copy or dict.
+on the 1/(6a) lattice (_add_numerator), which _evaluate divides by the
+three factors {n} = -q^(-n/2) (1 - q^n) of qdim(w).  Dividing by 1 - q^n
+is a plain prefix sum along stride n of the dense coefficient list, and
+the sign (-1)^3 of the three factors is folded into the numerator's
+signs; each division must leave a zero remainder, and the result must
+reduce to integer exponents.  The result is built once, on the dense
+list: its nonzero entries, in ascending order, are the value's term map
+through a _DenseTerms view, with no second check, copy or dict.
+_evaluate only reads the numerator, and every route ends in it:
+_rosso_jones is _add_numerator then _evaluate, and _t2b_diagonal, which
+the table uses, walks a diagonal (j, j + d) of colors.  Row l of
+psi2(m1, m2) is row 0 of (m1 - l, m2 - l), so psi2(j, j + d) is
+psi2(j - 1, j + d - 1) plus the row _psi2_row(j, j + d); the numerator
+is linear in psi2, so one numerator grows by a row per color and is
+evaluated at each.
 
 Internally everything is a polynomial in q; results for the 1/q
 convention are obtained by mirroring at the edge, and the variable tag
@@ -29,14 +36,15 @@ travels with the result.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from collections.abc import Iterable, Iterator, Mapping
+from itertools import accumulate, compress
 from math import gcd
 from typing import NamedTuple
 
 from .laurent import (InexactDivisionError, NonIntegralExponentError,
                       ScaledLaurent, UndefinedDegreeError, Write,
                       _DenseTerms, _joined, _Value)
-from .plethysm2 import psi2_closed
+from .plethysm2 import _psi2_row, psi2_closed
 from .schur3 import schur
 from .sl3rep import Weight, WeightLike, _as_dominant, _twist3
 
@@ -161,26 +169,26 @@ def _div_stride(dense: list[int], stride: int) -> None:
     del dense[-stride:]
 
 
-def _rosso_jones(weights: dict[tuple[int, int], int], a: int, b: int,
-                 color: Weight) -> ScaledLaurent:
-    """The Rosso-Jones sum over weights, reduced to scale 1.
+def _add_numerator(acc: dict[int, int],
+                   weights: Iterable[tuple[tuple[int, int], int]],
+                   a: int, b: int) -> None:
+    """Add the Rosso-Jones numerator terms of weights to acc, in place.
 
-    weights maps (n1, n2) to a signed multiplicity; any weight is
-    allowed, including non-dominant ones.  Each term qdim(mu) *
-    theta(mu)^(b/a) is anti-invariant under the Weyl group acting on
-    mu + rho, so a weight on a wall (n1 = -1, n2 = -1 or n1 + n2 = -2)
-    adds nothing, and the other weights need not be straightened to
-    dominant ones.  color was checked dominant by the caller, so the
-    twists take the unchecked form.
+    acc maps an exponent on the 1/(6a) lattice to its coefficient; it may
+    hold zero entries.  weights are ((n1, n2), signed multiplicity)
+    pairs; any weight is allowed, including non-dominant ones.  Each term
+    qdim(mu) * theta(mu)^(b/a) is anti-invariant under the Weyl group
+    acting on mu + rho, so a weight on a wall (n1 = -1, n2 = -1 or
+    n1 + n2 = -2) adds nothing, and the other weights need not be
+    straightened to dominant ones.
     """
-    scale, h = 6 * a, 3 * a
-    acc: dict[int, int] = {}
+    h = 3 * a
     get = acc.get
     # The sum is order-free, so the terms are taken unsorted.  Each mu
     # adds -{A}{B}{A+B} q^(t/scale) with A = n1+1 and B = n2+1, so u and v
     # are the exponents of q^A and q^B; the minus is the sign of the
     # three divisors.
-    for (n1, n2), c in weights.items():
+    for (n1, n2), c in weights:
         t = 2 * b * _twist3(n1, n2)
         u, v = 2 * h * (n1 + 1), 2 * h * (n2 + 1)
         k = t + u + v
@@ -195,13 +203,24 @@ def _rosso_jones(weights: dict[tuple[int, int], int], a: int, b: int,
         acc[k] = get(k, 0) - c
         k = t - u - v
         acc[k] = get(k, 0) + c
-    acc = {e: c for e, c in acc.items() if c}
+
+
+def _evaluate(acc: dict[int, int], a: int, b: int,
+              color: Weight) -> ScaledLaurent:
+    """The invariant of T(a, b) at color from its numerator acc.
+
+    acc is a numerator that _add_numerator built; it is read, never
+    changed, so a caller may add more terms to it afterwards.  color was
+    checked dominant by the caller, so the twists take the unchecked form.
+    """
+    scale, h = 6 * a, 3 * a
     m1, m2 = color
     ns = (m1 + 1, m2 + 1, m1 + m2 + 2)
-    lo = min(acc)
-    step = gcd(*(e - lo for e in acc), *(scale * n for n in ns))
-    dense = [0] * ((max(acc) - lo) // step + 1)
-    for e, c in acc.items():
+    terms = dict(compress(acc.items(), acc.values()))  # the nonzero ones
+    lo = min(terms)
+    step = gcd(*map(lo.__rsub__, terms), *(scale * n for n in ns))
+    dense = [0] * ((max(terms) - lo) // step + 1)
+    for e, c in terms.items():
         dense[(e - lo) // step] = c
     for n in ns:
         _div_stride(dense, scale * n // step)
@@ -217,6 +236,18 @@ def _rosso_jones(weights: dict[tuple[int, int], int], a: int, b: int,
         1, _DenseTerms(base // scale, step // scale, dense))
 
 
+def _rosso_jones(weights: Mapping[tuple[int, int], int], a: int, b: int,
+                 color: Weight) -> ScaledLaurent:
+    """The Rosso-Jones sum over weights, reduced to scale 1.
+
+    weights maps (n1, n2) to a signed multiplicity, as _add_numerator
+    takes them.
+    """
+    acc: dict[int, int] = {}
+    _add_numerator(acc, weights.items(), a, b)
+    return _evaluate(acc, a, b, color)
+
+
 def jones_t2b(b: int, color: WeightLike) -> ColoredJonesResult:
     """Exact colored invariant of T(2, b) for odd b >= 1.
 
@@ -224,11 +255,36 @@ def jones_t2b(b: int, color: WeightLike) -> ColoredJonesResult:
     expansion psi2_closed(color).  Every division is checked exact and
     the result must reduce to integer exponents.
     """
-    if not isinstance(b, int) or b < 1 or b % 2 == 0:
-        raise ValueError(f"T(2,b) needs a positive odd b, got {b!r}")
+    knot = _t2b_knot(b)
     w = _as_dominant(color)
     value = _rosso_jones(psi2_closed(w)._terms, 2, b, w)
-    return ColoredJonesResult(value, TorusKnotSpec(2, b), w, "q")
+    return ColoredJonesResult(value, knot, w, "q")
+
+
+def _t2b_knot(b: int) -> TorusKnotSpec:
+    """T(2, b), for a positive odd b."""
+    if not isinstance(b, int) or b < 1 or b % 2 == 0:
+        raise ValueError(f"T(2,b) needs a positive odd b, got {b!r}")
+    return TorusKnotSpec(2, b)
+
+
+def _t2b_diagonal(b: int, color: WeightLike) -> Iterator[ColoredJonesResult]:
+    """jones_t2b(b, w) for every w on the diagonal of color, up to color.
+
+    The colors are (m1 - l, m2 - l) for l = min(m1, m2) down to 0.  Row l
+    of psi2(m1, m2) is _psi2_row(m1 - l, m2 - l), so psi2 of each color
+    is psi2 of the one before plus one row, and the Rosso-Jones numerator
+    is linear in psi2: one numerator grows by a row per color and is
+    evaluated at each, where jones_t2b would rebuild psi2 and the whole
+    numerator for every color.
+    """
+    knot = _t2b_knot(b)
+    m1, m2 = _as_dominant(color)
+    acc: dict[int, int] = {}
+    for l in range(min(m1, m2), -1, -1):
+        w = Weight(m1 - l, m2 - l)
+        _add_numerator(acc, _psi2_row(*w), 2, b)
+        yield ColoredJonesResult(_evaluate(acc, 2, b, w), knot, w, "q")
 
 
 def jones_rosso(knot: TorusKnotSpec, color: WeightLike) -> ColoredJonesResult:

@@ -223,6 +223,15 @@ class _DenseValues(ValuesView):
         return filter(None, self._mapping._coeffs)
 
 
+def _copied(terms: Mapping[int, int]) -> dict[int, int]:
+    """A dict copy of terms.
+
+    dict(m) copies a dict in C, but reads any other Mapping key by key
+    from Python, where copying its pairs is the faster route.
+    """
+    return dict(terms) if isinstance(terms, dict) else dict(terms.items())
+
+
 def _stretch(terms: Mapping[int, int], k: int) -> dict[int, int]:
     """terms with every exponent multiplied by k."""
     return {e * k: c for e, c in terms.items()}
@@ -240,9 +249,8 @@ class ScaledLaurent(_Value):
         if not isinstance(scale, int) or scale < 1:
             raise ScaleError(f"scale must be a positive integer, got {scale!r}")
         if isinstance(terms, Mapping):
-            # unique keys: one copy and one check over the distinct types;
-            # the pairs, since dict(m) reads a non-dict m key by key
-            clean = dict(terms.items())
+            # unique keys: one copy and one check over the distinct types
+            clean = _copied(terms)
             if not all(issubclass(t, int) for t in
                        {*map(type, clean), *map(type, clean.values())}):
                 e, c = next((e, c) for e, c in clean.items()
@@ -328,7 +336,7 @@ class ScaledLaurent(_Value):
         if not isinstance(other, ScaledLaurent):
             return NotImplemented
         scale, a, b = self._common(other)
-        out = dict(a.items())
+        out = _copied(a)
         for e, c in b.items():
             out[e] = out.get(e, 0) + c
         return ScaledLaurent(scale, out)

@@ -4,13 +4,20 @@ psi2_closed expands the second Adams/plethysm image of the irreducible
 V_{m1,m2} as a signed sum of irreducibles by three explicit double sums
 over (k, l); every summand is a dominant weight before combination, and
 the k = 0 terms of the first two sums coincide while the third sum
-removes one copy.  psi2_schur_form is the same expansion written against
-two-row Schur indices; it is coded independently so the two can be
-cross-checked term by term, and the schur3 Adams-decompose oracle gives
-a third route.
+removes one copy.  Row l of the sums for (m1, m2) is row 0 of the sums
+for (m1 - l, m2 - l), so the rows are written once, in _psi2_row, and
+psi2(m1, m2) = psi2(m1 - 1, m2 - 1) + _psi2_row(m1, m2): psi2_closed
+sums the rows of one color, and the table's evaluator adds one row per
+step along a diagonal.  psi2_schur_form is the same expansion written
+against two-row Schur indices; it is coded independently so the two can
+be cross-checked term by term, and the schur3 Adams-decompose oracle
+gives a third route.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
+from itertools import chain, cycle
 
 from .sl3rep import (SignedWeightSum, Weight, WeightLike, _as_dominant,
                      dimension)
@@ -22,34 +29,52 @@ __all__ = [
 ]
 
 
+def _psi2_row(m1: int, m2: int) -> Iterator[tuple[tuple[int, int], int]]:
+    """Row l = 0 of the three sums for V_(m1, m2), its summands combined.
+
+    The k = 0 summands of the first two sums are both (2*m1, 2*m2) and
+    the third sum removes one copy, so the row is +(2*m1, 2*m2) plus the
+    summands (-1)^k (2*m1 - 2*k, 2*m2 + k) for 1 <= k <= m1 and
+    (-1)^k (2*m1 + k, 2*m2 - 2*k) for 1 <= k <= m2, all distinct.  Row l
+    of (m1, m2) is row 0 of (m1 - l, m2 - l), so this is the one place
+    the rows are written.  Returns the ((n1, n2), sign) pairs, each
+    weight once, as plain tuples; the dominance check runs at the call.
+    """
+    x, y = 2 * m1, 2 * m2
+    # each sum's coordinates are linear in k, so all its summands are
+    # dominant when both ends of its k range are; k = 0 is both sums' end
+    for n1, n2 in ((x, y), (0, y + m1), (x + m2, 0)):
+        if n1 < 0 or n2 < 0:
+            raise ArithmeticError(
+                f"non-dominant summand ({n1}, {n2}) in the plethysm sums")
+    return chain(
+        (((x, y), 1),),
+        zip(zip(range(x - 2, -1, -2), range(y + 1, y + m1 + 1)),
+            cycle((-1, 1))),
+        zip(zip(range(x + 1, x + m2 + 1), range(y - 2, -1, -2)),
+            cycle((-1, 1))))
+
+
 def psi2_closed(w: WeightLike) -> SignedWeightSum:
     """Signed irreducible expansion of the second plethysm of V_w.
 
     Three alternating double sums over shifts of the doubled weight
     (2*m1, 2*m2): the first lowers along the first simple root, the
     second along the second simple root, both swept down by the sum of
-    the simple roots, and the third subtracts the k = 0 diagonal.
+    the simple roots, and the third subtracts the k = 0 diagonal.  Row l
+    of the sums is _psi2_row(m1 - l, m2 - l), so psi2 of (m1, m2) is
+    psi2 of (m1 - 1, m2 - 1) plus _psi2_row(m1, m2).
     """
     m1, m2 = _as_dominant(w)
     acc: dict[Weight, int] = {}
     get, make = acc.get, Weight._make
-
-    def put(sign: int, a: int, b: int) -> None:
-        if a < 0 or b < 0:
-            raise ArithmeticError(
-                f"non-dominant summand ({a}, {b}) in the plethysm sums")
-        key = make((a, b))
-        acc[key] = get(key, 0) + sign
-
     for l in range(min(m1, m2) + 1):
-        for k in range(m1 - l + 1):
-            put(-1 if k % 2 else 1, 2 * m1 - 2 * k - 2 * l, 2 * m2 + k - 2 * l)
-        for k in range(m2 - l + 1):
-            put(-1 if k % 2 else 1, 2 * m1 + k - 2 * l, 2 * m2 - 2 * k - 2 * l)
-        put(-1, 2 * m1 - 2 * l, 2 * m2 - 2 * l)
+        for key, c in _psi2_row(m1 - l, m2 - l):
+            key = make(key)
+            acc[key] = get(key, 0) + c
     if 0 in acc.values():  # a scan is cheaper than always copying
         acc = {wt: c for wt, c in acc.items() if c}
-    # put checked every key dominant, and m1, m2 are ints
+    # _psi2_row checked every key dominant, and m1, m2 are ints
     return SignedWeightSum._trusted(acc)
 
 

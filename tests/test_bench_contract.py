@@ -67,11 +67,13 @@ def test_cli_requests_parse():
         cli._build_parser().parse_args(argv)
 
 
-@pytest.mark.parametrize("req", workloads.LARGE + (workloads.TABLE_SERIAL,),
+@pytest.mark.parametrize("req", workloads.LARGE + (workloads.TABLE_SERIAL,
+                                                   workloads.TABLE_PARALLEL),
                          ids=lambda r: r.key)
 def test_big_output_matches_reference_digest(req, tmp_path, monkeypatch):
-    # the requests that render the most terms; any changed byte of an
-    # output otherwise shows only in a benchmark run
+    # the requests that render the most terms, and the table's process
+    # pool; any changed byte of an output otherwise shows only in a
+    # benchmark run
     monkeypatch.delenv(cli.CACHE_ENV, raising=False)
     out = tmp_path / "out"
     assert cli.main(list(req.argv) + ["--out", str(out)]) == 0

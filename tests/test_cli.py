@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import sl3jones.cli as cli
+from sl3jones import jones
 from sl3jones.jones import (TorusKnotSpec, degree_report, jones_rosso,
                             jones_t2b)
 from sl3jones.laurent import InexactDivisionError
@@ -317,8 +318,9 @@ def test_selfcheck_passes(capsys):
     code, out, _ = run(capsys, "selfcheck", "--max", "2")
     assert code == 0
     lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
-    assert len(lines) == 12
+    assert len(lines) == 13
     assert all(l.startswith("PASS") for l in lines)
+    assert "PASS table-chain-equivalence" in lines
     assert "PASS color-swap-symmetry" in lines
     assert "PASS oracle-route-equivalence" in lines
 
@@ -372,17 +374,56 @@ def test_worker_count_caps_jobs(monkeypatch):
     ("--b", "3", "--max", "4", "--var", "qinv"),
     ("--a", "3", "--b", "4", "--max", "3", "--full"),
     ("--b", "7", "--max", "4", "--jobs", "2"),
+    ("--b", "51", "--max", "6"),
+    ("--b", "3", "--max", "5", "--var", "qinv", "--full", "--jobs", "2"),
 ])
 def test_table_matches_full_square(capsys, opts):
-    # the table computes m1 <= m2 and mirrors the rest; the literal
-    # assembly computes every cell
+    # the table computes m1 <= m2 along diagonals and mirrors the rest;
+    # the literal assembly computes every cell on its own, by the public
+    # per-cell routes
     args = cli._build_parser().parse_args(["table", *opts])
-    rows = [f"{m1},{m2},"
-            + cli._table_cell((args.a, args.b, m1, m2, args.var, args.full))
-            for m1 in range(args.max + 1) for m2 in range(args.max + 1)]
+    rows = []
+    for m1 in range(args.max + 1):
+        for m2 in range(args.max + 1):
+            if args.a == 2:
+                res = jones_t2b(args.b, (m1, m2))
+            else:
+                res = jones_rosso(TorusKnotSpec(args.a, args.b), (m1, m2))
+            if args.var == "qinv":
+                res = res.mirrored()
+            rep = degree_report(res)
+            row = (f"{m1},{m2},{rep.min_deg},{rep.max_deg},{rep.min_coeff},"
+                   f"{rep.max_coeff},{res.value.term_count}")
+            if args.full:
+                row += f",{res.value.to_text()}"
+            rows.append(row)
     code, out, _ = run(capsys, "table", *opts)
     assert code == 0
     assert out.splitlines()[1:] == rows
+
+
+def test_table_adds_each_row_summand_once(capsys, monkeypatch):
+    # for a = 2 the numerator of each diagonal grows by one plethysm row
+    # per cell: every row summand goes through the numerator once, and no
+    # cell rebuilds its plethysm
+    added = []
+    add = jones._add_numerator
+
+    def counting(acc, weights, a, b):
+        weights = list(weights)
+        added.append(len(weights))
+        add(acc, weights, a, b)
+
+    def refuse(*args):
+        raise AssertionError("a table cell rebuilt its plethysm")
+
+    monkeypatch.setattr(jones, "_add_numerator", counting)
+    monkeypatch.setattr(jones, "psi2_closed", refuse)
+    code, _, _ = run(capsys, "table", "--b", "3", "--max", "6")
+    assert code == 0
+    cells = [(m1, m2) for m2 in range(7) for m1 in range(m2 + 1)]
+    assert len(added) == len(cells)
+    assert sum(added) == sum(m1 + m2 + 1 for m1, m2 in cells)
 
 
 def test_table_var_changes_signs(capsys):

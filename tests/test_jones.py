@@ -7,13 +7,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sl3jones import schur3
-from sl3jones.jones import (ColoredJonesResult, TorusKnotSpec, _div_stride,
-                            _rosso_jones, degree_report, jones_rosso,
+from sl3jones.jones import (ColoredJonesResult, TorusKnotSpec, _add_numerator,
+                            _div_stride, _evaluate, _rosso_jones,
+                            _t2b_diagonal, degree_report, jones_rosso,
                             jones_t2b)
 from sl3jones.laurent import (InexactDivisionError, NonIntegralExponentError,
                               ScaledLaurent, UndefinedDegreeError,
                               _DenseTerms)
-from sl3jones.plethysm2 import psi2_closed
+from sl3jones.plethysm2 import _psi2_row, psi2_closed
 from sl3jones.schur3 import psi_oracle
 from sl3jones.sl3rep import (SignedWeightSum, Weight, qdim_closed,
                              twist_monomial)
@@ -306,6 +307,53 @@ def test_jones_rosso_makes_no_schur_decomposition(monkeypatch):
     monkeypatch.setattr(SignedWeightSum, "__init__", refuse)
     schur3._schur_cached.cache_clear()  # the character is rebuilt, too
     assert [jones_rosso(knot, w).value for knot, w in cases] == want
+
+
+# -- the diagonal chain --------------------------------------------------------
+
+
+@pytest.mark.parametrize("b, mx", [(1, 12), (3, 12), (5, 12), (7, 12),
+                                   (51, 6)])
+def test_diagonal_chain_matches_jones_t2b(b, mx):
+    # the diagonals ending on the square's top and right edges cover it
+    tops = [(m1, mx) for m1 in range(mx + 1)] + [(mx, m2) for m2 in range(mx)]
+    seen = []
+    for top in tops:
+        chain = list(_t2b_diagonal(b, top))
+        assert chain[-1].color == top
+        for res in chain:
+            assert res == jones_t2b(b, res.color), (b, res.color)
+            assert type(res.value._terms) is _DenseTerms
+            seen.append(res.color)
+    assert sorted(seen) == [(m1, m2) for m1 in range(mx + 1)
+                            for m2 in range(mx + 1)]
+
+
+def test_diagonal_chain_validates_its_arguments():
+    for b, color in ((4, (1, 1)), (0, (1, 1)), (3, (-1, 2))):
+        with pytest.raises(ValueError):
+            next(_t2b_diagonal(b, color))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 3, 5, 51]), st.integers(0, 10),
+       st.lists(st.booleans(), min_size=1, max_size=10))
+def test_evaluation_leaves_the_numerator_unchanged(b, d, evaluated):
+    # one numerator is evaluated at the cells marked in evaluated, its
+    # twin at none: both must end as the same numerator and value
+    acc, twin = {}, {}
+    for j, evaluate in enumerate(evaluated):
+        w = Weight(j, j + d)
+        row = list(_psi2_row(*w))
+        _add_numerator(acc, row, 2, b)
+        _add_numerator(twin, row, 2, b)
+        if evaluate:
+            before = list(acc.items())
+            assert _evaluate(acc, 2, b, w) == jones_t2b(b, w).value
+            assert list(acc.items()) == before
+    assert acc == twin
+    assert _evaluate(acc, 2, b, w) == _evaluate(twin, 2, b, w) == \
+        jones_t2b(b, w).value
 
 
 # -- trusted result construction ---------------------------------------------

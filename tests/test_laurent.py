@@ -454,3 +454,22 @@ def test_value_on_dense_terms_equals_value_on_a_dict(spec, h):
     assert all(f.coefficient(e) == g.coefficient(e) for e in range(-60, 160))
     if g:
         assert f.degree_span() == g.degree_span()
+
+
+@settings(max_examples=120)
+@given(dense_specs, st.sampled_from([1, 2, 6]), lattice_polys)
+def test_constructor_and_add_copy_a_dict_and_a_dense_map(spec, scale, h):
+    # the constructor and + copy a dict and a _DenseTerms by different
+    # routes; both copies are dicts, equal, and detached from the input
+    d, dense = dense_ref(*spec), _DenseTerms(*spec)
+    f, g = ScaledLaurent(scale, d), ScaledLaurent(scale, dense)
+    assert f == g and hash(f) == hash(g)
+    assert type(f._terms) is dict and type(g._terms) is dict
+    assert list(f._terms.items()) == list(g._terms.items()) and ascends(f)
+    total = ScaledLaurent._trusted(1, dense) + h
+    assert total == ScaledLaurent(1, d) + h
+    assert type(total._terms) is dict
+    snapshot = f.items()
+    d[max(d, default=0) + 1] = 7  # the input dict is not the value's map
+    assert f.items() == snapshot
+    assert dict(dense) == dense_ref(*spec)  # + left the dense map alone

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl3jones.plethysm2 import psi2_closed, psi2_schur_form, signed_dimension
+from sl3jones.plethysm2 import (_psi2_row, psi2_closed, psi2_schur_form,
+                                signed_dimension)
 from sl3jones.schur3 import psi_oracle
 from sl3jones.sl3rep import SignedWeightSum, dimension
 
@@ -101,3 +102,42 @@ def test_closed_form_builds_what_the_constructor_builds(m1, m2):
     assert s == public
     assert [(type(w), w, type(c), c) for w, c in s.items()] == \
         [(type(w), w, type(c), c) for w, c in public.items()]
+
+
+def test_row_recurrence():
+    # row l of (m1, m2) is row l - 1 of (m1 - 1, m2 - 1), so psi2 grows
+    # along a diagonal by the new l = 0 row
+    for m1 in range(1, 31):
+        for m2 in range(1, 31):
+            acc = dict(psi2_closed((m1 - 1, m2 - 1)).items())
+            for key, c in _psi2_row(m1, m2):
+                acc[key] = acc.get(key, 0) + c
+            assert SignedWeightSum(acc) == psi2_closed((m1, m2)), (m1, m2)
+
+
+def test_row_is_the_first_row_of_the_sums():
+    # the l = 0 row of the literal three sums, summand by summand
+    for m1 in range(9):
+        for m2 in range(9):
+            want = {}
+            for k in range(m1 + 1):
+                key = (2 * m1 - 2 * k, 2 * m2 + k)
+                want[key] = want.get(key, 0) + (-1) ** k
+            for k in range(m2 + 1):
+                key = (2 * m1 + k, 2 * m2 - 2 * k)
+                want[key] = want.get(key, 0) + (-1) ** k
+            want[2 * m1, 2 * m2] -= 1
+            pairs = list(_psi2_row(m1, m2))
+            row = dict(pairs)
+            assert len(row) == len(pairs), (m1, m2)  # each weight once
+            assert row == {k: c for k, c in want.items() if c}, (m1, m2)
+            assert all(type(k) is tuple for k in row)
+
+
+@pytest.mark.parametrize("m1, m2", [(-1, 0), (-1, 3), (0, -1), (4, -1),
+                                    (-2, -2)])
+def test_non_dominant_row_summand_raises(m1, m2):
+    # psi2_closed never asks for such a row; the check guards a wrong
+    # l range, and must stay live
+    with pytest.raises(ArithmeticError, match="non-dominant"):
+        _psi2_row(m1, m2)
