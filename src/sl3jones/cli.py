@@ -32,8 +32,8 @@ import sys
 import tempfile
 
 from . import __version__
-from .jones import (TorusKnotSpec, _rosso_jones, _t2b_diagonal, degree_report,
-                    jones_rosso, jones_t2b)
+from .jones import (TorusKnotSpec, _degree_window, _rosso_jones, _t2b_diagonal,
+                    degree_report, jones_rosso, jones_t2b)
 from .laurent import LaurentError
 from .plethysm2 import psi2_closed, psi2_schur_form, signed_dimension
 from .schur3 import psi_oracle, verify_lemma_LR, verify_lemma_psi2_recurrence
@@ -264,9 +264,9 @@ def _table_chain(task) -> list[tuple[tuple[int, int], str]]:
     for res in results:
         if var == "qinv":
             res = res.mirrored()
-        rep = degree_report(res)
-        tail = (f"{rep.min_deg},{rep.max_deg},{rep.min_coeff},"
-                f"{rep.max_coeff},{res.value.term_count}")
+        terms = res.value._terms
+        # the degree window only: the report's exponent lists go unused
+        tail = "%d,%d,%d,%d,%d" % (*_degree_window(terms), len(terms))
         if full:
             tail += f",{res.value.to_text()}"
         rows.append((res.color, tail))
@@ -374,9 +374,10 @@ def _selfcheck_properties(mx: int):
                         == jones_rosso(knot, w[::-1]).value for w in pairs))
 
     def table_chain_equivalence():
-        # the table's growing diagonal numerators against a fresh plethysm
-        # and numerator per cell; the diagonals ending on the top and
-        # right edges cover the square
+        # the table's diagonal numerators, evaluated at every cell,
+        # against jones_t2b, which sums a fresh numerator per cell and
+        # evaluates it once; the diagonals ending on the top and right
+        # edges cover the square
         tops = [(m1, mx) for m1 in range(mx + 1)]
         tops += [(mx, m2) for m2 in range(mx)]
         return all(res == jones_t2b(b, res.color)

@@ -2,14 +2,15 @@
 
 Both routes evaluate the Rosso-Jones sum for T(a, b) at color w,
 theta(w)^(-ab) / qdim(w) * sum_mu c_mu qdim(mu) theta(mu)^(b/a), over a
-signed multiset of weights mu: jones_t2b over the closed second-plethysm
-expansion psi2_closed, jones_rosso over the Adams image a*nu of every
-weight nu of V_w, taken from the Gelfand-Tsetlin character schur.  The
-summand is anti-invariant under the Weyl group acting on mu + rho, so
-the weight form needs no Schur decomposition: straightening the Adams
-image into irreducibles, as the schur3 oracle psi_oracle does, gives
-the same sum.  With {n} = q^(n/2) - q^(-n/2), each quantum dimension
-is {m1+1}{m2+1}{m1+m2+2} / ({1}^3 [2]) and the shared denominator cancels.
+signed multiset of weights mu: jones_t2b over the second-plethysm
+expansion of V_w, summed row by row (_psi2_row), jones_rosso over the
+Adams image a*nu of every weight nu of V_w, taken from the
+Gelfand-Tsetlin character schur.  The summand is anti-invariant under
+the Weyl group acting on mu + rho, so the weight form needs no Schur
+decomposition: straightening the Adams image into irreducibles, as the
+schur3 oracle psi_oracle does, gives the same sum.  With
+{n} = q^(n/2) - q^(-n/2), each quantum dimension is
+{m1+1}{m2+1}{m1+m2+2} / ({1}^3 [2]) and the shared denominator cancels.
 Since m1+m2+2 = (m1+1) + (m2+1), the product {A}{B}{A+B} is the six-term
 Weyl alternant: of its eight signed monomials, the two at the twist
 exponent itself cancel.  So each mu adds six signed monomials to one sum
@@ -22,12 +23,15 @@ reduce to integer exponents.  The result is built once, on the dense
 list: its nonzero entries, in ascending order, are the value's term map
 through a _DenseTerms view, with no second check, copy or dict.
 _evaluate only reads the numerator, and every route ends in it:
-_rosso_jones is _add_numerator then _evaluate, and _t2b_diagonal, which
-the table uses, walks a diagonal (j, j + d) of colors.  Row l of
+_rosso_jones is _add_numerator then _evaluate.  For T(2, b), row l of
 psi2(m1, m2) is row 0 of (m1 - l, m2 - l), so psi2(j, j + d) is
-psi2(j - 1, j + d - 1) plus the row _psi2_row(j, j + d); the numerator
-is linear in psi2, so one numerator grows by a row per color and is
-evaluated at each.
+psi2(j - 1, j + d - 1) plus the row _psi2_row(j, j + d), and the
+numerator is linear in psi2: _t2b_numerators grows one numerator by a
+row per color along the diagonal (j, j + d).  jones_t2b evaluates it
+once, at the diagonal's end, and _t2b_diagonal, which the table uses,
+at every color.  No route builds the plethysm as a SignedWeightSum:
+psi2_closed serves the plethysm command and the checks that compare it
+with psi2_schur_form, the schur3 oracle and the literal sums.
 
 Internally everything is a polynomial in q; results for the 1/q
 convention are obtained by mirroring at the edge, and the variable tag
@@ -44,7 +48,7 @@ from typing import NamedTuple
 from .laurent import (InexactDivisionError, NonIntegralExponentError,
                       ScaledLaurent, UndefinedDegreeError, Write,
                       _DenseTerms, _joined, _Value)
-from .plethysm2 import _psi2_row, psi2_closed
+from .plethysm2 import _psi2_row
 from .schur3 import schur
 from .sl3rep import Weight, WeightLike, _as_dominant, _twist3
 
@@ -216,11 +220,13 @@ def _evaluate(acc: dict[int, int], a: int, b: int,
     scale, h = 6 * a, 3 * a
     m1, m2 = color
     ns = (m1 + 1, m2 + 1, m1 + m2 + 2)
-    terms = dict(compress(acc.items(), acc.values()))  # the nonzero ones
-    lo = min(terms)
-    step = gcd(*map(lo.__rsub__, terms), *(scale * n for n in ns))
-    dense = [0] * ((max(terms) - lo) // step + 1)
-    for e, c in terms.items():
+    # the exponents of the nonzero entries; a zero entry may lie off the
+    # lattice they span, so it is skipped, never placed
+    keys = list(compress(acc, acc.values()))
+    lo = min(keys)
+    step = gcd(*map(lo.__rsub__, keys), *(scale * n for n in ns))
+    dense = [0] * ((max(keys) - lo) // step + 1)
+    for e, c in compress(acc.items(), acc.values()):
         dense[(e - lo) // step] = c
     for n in ns:
         _div_stride(dense, scale * n // step)
@@ -251,14 +257,15 @@ def _rosso_jones(weights: Mapping[tuple[int, int], int], a: int, b: int,
 def jones_t2b(b: int, color: WeightLike) -> ColoredJonesResult:
     """Exact colored invariant of T(2, b) for odd b >= 1.
 
-    Evaluates the Rosso-Jones sum over the closed second-plethysm
-    expansion psi2_closed(color).  Every division is checked exact and
-    the result must reduce to integer exponents.
+    Evaluates the Rosso-Jones sum over the second-plethysm expansion of
+    V_color, added to the numerator row by row with no merged plethysm.
+    Every division is checked exact and the result must reduce to
+    integer exponents.
     """
     knot = _t2b_knot(b)
-    w = _as_dominant(color)
-    value = _rosso_jones(psi2_closed(w)._terms, 2, b, w)
-    return ColoredJonesResult(value, knot, w, "q")
+    for w, acc in _t2b_numerators(b, color):
+        pass  # the last color is color itself, with all its rows
+    return ColoredJonesResult(_evaluate(acc, 2, b, w), knot, w, "q")
 
 
 def _t2b_knot(b: int) -> TorusKnotSpec:
@@ -268,22 +275,33 @@ def _t2b_knot(b: int) -> TorusKnotSpec:
     return TorusKnotSpec(2, b)
 
 
-def _t2b_diagonal(b: int, color: WeightLike) -> Iterator[ColoredJonesResult]:
-    """jones_t2b(b, w) for every w on the diagonal of color, up to color.
+def _t2b_numerators(
+        b: int, color: WeightLike) -> Iterator[tuple[Weight, dict[int, int]]]:
+    """(w, numerator of T(2, b) at w) along the diagonal of color, up to it.
 
-    The colors are (m1 - l, m2 - l) for l = min(m1, m2) down to 0.  Row l
-    of psi2(m1, m2) is _psi2_row(m1 - l, m2 - l), so psi2 of each color
+    The colors w are (m1 - l, m2 - l) for l = min(m1, m2) down to 0.  Row
+    l of psi2(m1, m2) is _psi2_row(m1 - l, m2 - l), so psi2 of each color
     is psi2 of the one before plus one row, and the Rosso-Jones numerator
-    is linear in psi2: one numerator grows by a row per color and is
-    evaluated at each, where jones_t2b would rebuild psi2 and the whole
-    numerator for every color.
+    is linear in psi2: one numerator grows by a row per color.  This is
+    the one place the rows are summed.  The same dict is yielded each
+    time, so a caller must evaluate it before asking for the next color.
     """
-    knot = _t2b_knot(b)
     m1, m2 = _as_dominant(color)
     acc: dict[int, int] = {}
     for l in range(min(m1, m2), -1, -1):
         w = Weight(m1 - l, m2 - l)
         _add_numerator(acc, _psi2_row(*w), 2, b)
+        yield w, acc
+
+
+def _t2b_diagonal(b: int, color: WeightLike) -> Iterator[ColoredJonesResult]:
+    """jones_t2b(b, w) for every w on the diagonal of color, up to color.
+
+    One numerator from _t2b_numerators is evaluated at each color, where
+    jones_t2b per color would rebuild the numerator from its first row.
+    """
+    knot = _t2b_knot(b)
+    for w, acc in _t2b_numerators(b, color):
         yield ColoredJonesResult(_evaluate(acc, 2, b, w), knot, w, "q")
 
 
@@ -307,6 +325,18 @@ def jones_rosso(knot: TorusKnotSpec, color: WeightLike) -> ColoredJonesResult:
     return ColoredJonesResult(value, knot, w, "q")
 
 
+def _degree_window(terms: Mapping[int, int]) -> tuple[int, int, int, int]:
+    """(min_deg, max_deg, min_coeff, max_coeff) of a nonempty term map.
+
+    The map ascends (the normal form), so the degrees are its first and
+    last keys; no list of exponents is built.
+    """
+    if not terms:
+        raise UndefinedDegreeError("degree report of the zero polynomial")
+    return (next(iter(terms)), next(reversed(terms)),
+            min(terms.values()), max(terms.values()))
+
+
 def degree_report(result: ColoredJonesResult) -> DegreeReport:
     """Degree window and coefficient extremes of a result, with attainment.
 
@@ -314,12 +344,8 @@ def degree_report(result: ColoredJonesResult) -> DegreeReport:
     exponents attaining each coefficient extreme is included, and leading
     and trailing are the coefficients at the highest and lowest exponent.
     """
-    terms = result.value._terms  # ascending: the normal form
-    if not terms:
-        raise UndefinedDegreeError("degree report of the zero polynomial")
-    lo_e, hi_e = next(iter(terms)), next(reversed(terms))
-    lo_c = min(terms.values())
-    hi_c = max(terms.values())
+    terms = result.value._terms
+    lo_e, hi_e, lo_c, hi_c = _degree_window(terms)
     # one pass for both lists: the evaluator's dense term map makes an
     # exponent int at every step of every pass over its keys
     lows, highs = [], []

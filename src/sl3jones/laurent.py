@@ -9,11 +9,11 @@ has scale 1.  The term map has no zero entry and keeps its exponents in
 ascending order, so every reader walks the terms in order with no sort.
 It is a dict, or the _DenseTerms view the torus-knot evaluator puts over
 the dense coefficient list it already holds, so a large invariant keeps
-no dict entry or exponent int per term; every reader goes through the
-Mapping protocol, so no reader has a second code path.  Binary
-operations work on the lcm of the two scales.  All arithmetic is exact;
-division is long division from the lowest exponent and must leave no
-remainder.
+no dict entry or exponent int per term; mirror keeps it dense, over the
+reversed list.  Every reader goes through the Mapping protocol, so no
+reader has a second code path.  Binary operations work on the lcm of
+the two scales.  All arithmetic is exact; division is long division
+from the lowest exponent and must leave no remainder.
 
 The public constructor checks and normalizes its input, and always keeps
 a dict.  An internal caller that already guarantees the normal form
@@ -25,19 +25,22 @@ the base of the package's slotted value types.
 write_text and write_json are the one text and the one JSON writer: each
 hands the rendering, straight from the ordered terms, to a write
 callable in chunks of CHUNK_TERMS terms, so a value of any size is
-written holding one chunk.  to_text and to_json join the same chunks,
-and to_json_dict is the parse of to_json.  The package's methods that
-need the json module import it when called, so importing the library
-alone does not load it; the functions that return a Fraction
-(degree_span here, pairing and twist_weyl_check in sl3rep) import the
-fractions module the same way.
+written holding one chunk.  A JSON chunk is one %-format over the flat
+run of its exponents and coefficients; a text chunk formats term by
+term, since its sign-dependent separator would cost a second pass over
+the chunk.  to_text and to_json join the same chunks, and to_json_dict
+is the parse of to_json.  The package's methods that need the json
+module import it when called, so importing the library alone does not
+load it; the functions that return a Fraction (degree_span here,
+pairing and twist_weyl_check in sl3rep) import the fractions module
+the same way.
 """
 
 from __future__ import annotations
 
 from collections.abc import (Callable, Iterable, ItemsView, Iterator, Mapping,
                              ValuesView)
-from itertools import compress, islice
+from itertools import chain, compress, islice
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Union
 
@@ -192,6 +195,13 @@ class _DenseTerms(Mapping):
         if isinstance(other, _DenseTerms) and self._keys == other._keys:
             return self._coeffs == other._coeffs
         return Mapping.__eq__(self, other)
+
+    def mirrored(self) -> "_DenseTerms":
+        """The map with every exponent negated, still ascending."""
+        keys = self._keys
+        if not keys:
+            return self
+        return _DenseTerms(-keys[-1], keys.step, self._coeffs[::-1])
 
     def items(self) -> "_DenseItems":
         return _DenseItems(self)
@@ -438,9 +448,15 @@ class ScaledLaurent(_Value):
     # -- structure maps ----------------------------------------------
 
     def mirror(self) -> "ScaledLaurent":
-        """The image under q -> 1/q (all exponents negated)."""
+        """The image under q -> 1/q (all exponents negated).
+
+        A dense term map mirrors to a dense map over its reversed list.
+        """
+        terms = self._terms
+        if isinstance(terms, _DenseTerms):
+            return ScaledLaurent._trusted(self.scale, terms.mirrored())
         return ScaledLaurent._trusted(
-            self.scale, {-e: c for e, c in reversed(self._terms.items())})
+            self.scale, {-e: c for e, c in reversed(terms.items())})
 
     def eval_one(self) -> int:
         """The value at q = 1, i.e. the sum of all coefficients."""
@@ -503,11 +519,14 @@ class ScaledLaurent(_Value):
         """
         terms = self._terms
         write(f'{head}"scale":{self.scale},"terms":[')
-        pairs = iter(terms.items())
-        for start in range(0, len(terms), CHUNK_TERMS):
-            chunk = ",".join([f'[{e},"{c}"]'
-                              for e, c in islice(pairs, CHUNK_TERMS)])
-            write("," + chunk if start else chunk)
+        # one %-format per chunk over the flat exponent, coefficient run;
+        # every term carries its leading comma, cut from the first chunk
+        flat = chain.from_iterable(terms.items())
+        n = len(terms)
+        for start in range(0, n, CHUNK_TERMS):
+            k = min(CHUNK_TERMS, n - start)
+            chunk = (',[%d,"%d"]' * k) % tuple(islice(flat, 2 * k))
+            write(chunk if start else chunk[1:])
         write("]}")
 
     def to_text(self) -> str:

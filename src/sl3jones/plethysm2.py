@@ -7,8 +7,9 @@ the k = 0 terms of the first two sums coincide while the third sum
 removes one copy.  Row l of the sums for (m1, m2) is row 0 of the sums
 for (m1 - l, m2 - l), so the rows are written once, in _psi2_row, and
 psi2(m1, m2) = psi2(m1 - 1, m2 - 1) + _psi2_row(m1, m2): psi2_closed
-sums the rows of one color, and the table's evaluator adds one row per
-step along a diagonal.  psi2_schur_form is the same expansion written
+sums the rows of one color, and the invariant's evaluator adds the rows
+straight into its numerator, one per step along a diagonal, with no
+merged expansion.  psi2_schur_form is the same expansion written
 against two-row Schur indices; it is coded independently so the two can
 be cross-checked term by term, and the schur3 Adams-decompose oracle
 gives a third route.

@@ -10,12 +10,12 @@ import sys
 import pytest
 
 import sl3jones.cli as cli
-from sl3jones import jones
 from sl3jones.jones import (TorusKnotSpec, degree_report, jones_rosso,
                             jones_t2b)
 from sl3jones.laurent import InexactDivisionError
 from sl3jones.plethysm2 import psi2_closed
 from sl3jones.sl3rep import qdim_closed, twist_monomial
+from test_jones import counting_rows, refuse_everywhere
 
 
 def run(capsys, *argv):
@@ -406,19 +406,9 @@ def test_table_adds_each_row_summand_once(capsys, monkeypatch):
     # for a = 2 the numerator of each diagonal grows by one plethysm row
     # per cell: every row summand goes through the numerator once, and no
     # cell rebuilds its plethysm
-    added = []
-    add = jones._add_numerator
-
-    def counting(acc, weights, a, b):
-        weights = list(weights)
-        added.append(len(weights))
-        add(acc, weights, a, b)
-
-    def refuse(*args):
-        raise AssertionError("a table cell rebuilt its plethysm")
-
-    monkeypatch.setattr(jones, "_add_numerator", counting)
-    monkeypatch.setattr(jones, "psi2_closed", refuse)
+    added = counting_rows(monkeypatch)
+    refuse_everywhere(monkeypatch, psi2_closed,
+                      "a table cell rebuilt its plethysm")
     code, _, _ = run(capsys, "table", "--b", "3", "--max", "6")
     assert code == 0
     cells = [(m1, m2) for m2 in range(7) for m1 in range(m2 + 1)]

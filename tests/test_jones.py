@@ -1,12 +1,13 @@
 """Colored invariants: closed form, weight form, oracle route, reports."""
 
+import sys
 from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sl3jones import schur3
+from sl3jones import jones, schur3
 from sl3jones.jones import (ColoredJonesResult, TorusKnotSpec, _add_numerator,
                             _div_stride, _evaluate, _rosso_jones,
                             _t2b_diagonal, degree_report, jones_rosso,
@@ -45,6 +46,32 @@ def literal_t2b(b, w):
 
 def literal_rosso(knot, w):
     return literal_sum(psi_oracle(w, knot.a), knot.a, knot.b, w)
+
+
+def refuse_everywhere(monkeypatch, function, message):
+    """Make every sl3jones module's name for function raise instead."""
+    def refuse(*args, **kwargs):
+        raise AssertionError(message)
+
+    for name, module in list(sys.modules.items()):
+        if name == "sl3jones" or name.startswith("sl3jones."):
+            for attr, value in list(vars(module).items()):
+                if value is function:
+                    monkeypatch.setattr(module, attr, refuse)
+
+
+def counting_rows(monkeypatch):
+    """The sizes of the rows _add_numerator takes from here on, in order."""
+    added = []
+    add = jones._add_numerator
+
+    def counting(acc, weights, a, b):
+        weights = list(weights)
+        added.append(len(weights))
+        add(acc, weights, a, b)
+
+    monkeypatch.setattr(jones, "_add_numerator", counting)
+    return added
 
 
 # -- knot parameter validation -------------------------------------------
@@ -133,6 +160,21 @@ def test_matches_literal_assembly():
                     literal_t2b(b, (m1, m2)), (b, m1, m2)
     for w in ((20, 20), (30, 11)):
         assert jones_t2b(3, w).value == literal_t2b(3, w), w
+
+
+@pytest.mark.parametrize("b, color", [(1, (0, 0)), (3, (7, 4)), (5, (3, 9)),
+                                      (51, (6, 6)), (3, (0, 12))])
+def test_jones_t2b_adds_each_row_summand_once(monkeypatch, b, color):
+    # jones_t2b sums the plethysm rows straight into its numerator: each
+    # row summand goes through it once, and no merged plethysm is built
+    want = literal_t2b(b, color)
+    added = counting_rows(monkeypatch)
+    refuse_everywhere(monkeypatch, psi2_closed,
+                      "jones_t2b built the merged plethysm")
+    res = jones_t2b(b, color)
+    assert res.value == want and res.color == color
+    m1, m2 = color
+    assert added == [m1 + m2 - 2 * l + 1 for l in range(min(m1, m2), -1, -1)]
 
 
 def test_rosso_matches_literal_assembly():

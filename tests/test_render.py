@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from sl3jones import cli
 from sl3jones.jones import (ColoredJonesResult, DegreeReport, TorusKnotSpec,
                             degree_report, jones_rosso, jones_t2b)
-from sl3jones.laurent import CHUNK_TERMS, ScaledLaurent, _fraction_text
+from sl3jones.laurent import (CHUNK_TERMS, ScaledLaurent, _DenseTerms,
+                              _fraction_text)
 from sl3jones.sl3rep import SignedWeightSum, Weight
 
 
@@ -242,6 +243,25 @@ def test_chunks_across_boundaries_match_reference(f):
     js = chunks(r.write_json)
     assert "".join(js) == dumps(ref_result_dict(r))
     check_chunk_bound(chunks(r.write_text), js)
+
+
+def test_json_of_an_evaluator_value_matches_reference():
+    # the evaluator's value is a dense view with interior zeros, and
+    # 8,696 terms make three chunks; q and 1/q, bare and with the head
+    # of a result
+    res = jones_t2b(23, (11, 16))
+    dense = res.value._terms
+    assert type(dense) is _DenseTerms and 0 in dense._coeffs
+    assert CHUNK_TERMS < res.value.term_count == 8696
+    for r in (res, res.mirrored()):
+        assert type(r.value._terms) is _DenseTerms
+        js = chunks(r.value.write_json)
+        assert "".join(js) == dumps(ref_laurent_dict(r.value))
+        check_chunk_bound(chunks(r.value.write_text), js)
+        js = chunks(r.write_json)
+        assert "".join(js) == dumps(ref_result_dict(r))
+        check_chunk_bound(chunks(r.write_text), js)
+        assert len(js) == 2 + -(-r.value.term_count // CHUNK_TERMS)
 
 
 def test_zero_polynomial_chunks():
