@@ -13,25 +13,40 @@ schur3 oracle psi_oracle does, gives the same sum.  With
 {m1+1}{m2+1}{m1+m2+2} / ({1}^3 [2]) and the shared denominator cancels.
 Since m1+m2+2 = (m1+1) + (m2+1), the product {A}{B}{A+B} is the six-term
 Weyl alternant: of its eight signed monomials, the two at the twist
-exponent itself cancel.  So each mu adds six signed monomials to one sum
-on the 1/(6a) lattice (_add_numerator), which _evaluate divides by the
-three factors {n} = -q^(-n/2) (1 - q^n) of qdim(w).  Dividing by 1 - q^n
-is a plain prefix sum along stride n of the dense coefficient list, and
-the sign (-1)^3 of the three factors is folded into the numerator's
-signs; each division must leave a zero remainder, and the result must
-reduce to integer exponents.  The result is built once, on the dense
-list: its nonzero entries, in ascending order, are the value's term map
-through a _DenseTerms view, with no second check, copy or dict.
-_evaluate only reads the numerator, and every route ends in it:
-_rosso_jones is _add_numerator then _evaluate.  For T(2, b), row l of
-psi2(m1, m2) is row 0 of (m1 - l, m2 - l), so psi2(j, j + d) is
-psi2(j - 1, j + d - 1) plus the row _psi2_row(j, j + d), and the
-numerator is linear in psi2: _t2b_numerators grows one numerator by a
-row per color along the diagonal (j, j + d).  jones_t2b evaluates it
-once, at the diagonal's end, and _t2b_diagonal, which the table uses,
-at every color.  No route builds the plethysm as a SignedWeightSum:
-psi2_closed serves the plethysm command and the checks that compare it
-with psi2_schur_form, the schur3 oracle and the literal sums.
+exponent itself cancel.  So each mu adds six signed monomials
+q^(t/(6a)) q^(+-A +-B), with t = 2b*twist3(mu), A = n1+1 and B = n2+1
+(_add_numerator).  The six share the class t mod 6a and lie whole
+powers of q apart, so the numerator (_Numerator) keeps one dense list
+per class, in whole powers of q, with its offset and the range in use:
+a term is a list add, with no exponent dict, key scan or gcd.  Every
+route feeds weights of one class (the tests check each): the psi2 rows
+of T(2, b), whose weights all have an even coordinate and the triality
+class of the diagonal, so that t mod 12 is fixed; the Adams images a*nu
+of jones_rosso; and the straightened weights of the schur3 oracle.
+A weight of another class gets its own list and ends in the errors
+below.  Each weight's index span is checked against its list before
+the adds, and the list grows to hold it, since a negative index would
+wrap round silently.  _evaluate divides each list by the three factors
+{n} = -q^(-n/2) (1 - q^n) of qdim(w).  Dividing by 1 - q^n is a plain
+prefix sum along stride n of the list, and the sign (-1)^3 of the three
+factors is folded into the numerator's signs; each division must leave a
+zero remainder, and one class must survive and land on whole powers of
+q.  A numerator whose terms all cancel is the zero polynomial.  The
+result is built once, on the dense list: its nonzero entries, in
+ascending order, are the value's term map through a _DenseTerms view,
+with no second check, copy or dict.  _evaluate uses its numerator up,
+and every route ends in it: _rosso_jones is _add_numerator then
+_evaluate.  For T(2, b), row l of psi2(m1, m2) is row 0 of
+(m1 - l, m2 - l), so psi2(j, j + d) is psi2(j - 1, j + d - 1) plus the
+row _psi2_row(j, j + d), and the numerator is linear in psi2:
+_t2b_numerators grows one numerator by a row per color along the
+diagonal (j, j + d), its list sized once from the diagonal's top color
+(_t2b_span).  jones_t2b evaluates it in place, once, at the diagonal's
+end, and _t2b_diagonal, which the table uses, evaluates a copy of its
+range in use at every color.  No route builds the plethysm as a
+SignedWeightSum: psi2_closed serves the plethysm command and the checks
+that compare it with psi2_schur_form, the schur3 oracle and the literal
+sums.
 
 Internally everything is a polynomial in q; results for the 1/q
 convention are obtained by mirroring at the edge, and the variable tag
@@ -41,7 +56,7 @@ travels with the result.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
-from itertools import accumulate, compress
+from itertools import accumulate
 from math import gcd
 from typing import NamedTuple
 
@@ -173,73 +188,156 @@ def _div_stride(dense: list[int], stride: int) -> None:
     del dense[-stride:]
 
 
-def _add_numerator(acc: dict[int, int],
+class _ClassList:
+    """The numerator terms of one exponent class, in whole powers of q.
+
+    The class is an r with 0 <= r < 6a, and coeffs[i] is the coefficient
+    of q^(off + i + r/(6a)).  The whole powers lo..hi are the range in
+    use, empty while lo > hi; every entry outside it is zero.
+    """
+
+    __slots__ = ("off", "coeffs", "lo", "hi")
+
+    def __init__(self, off: int, coeffs: list[int], lo: int, hi: int):
+        self.off, self.coeffs, self.lo, self.hi = off, coeffs, lo, hi
+
+    def fit(self, lo: int, hi: int) -> None:
+        """Grow the list to cover the whole powers lo..hi."""
+        n = len(self.coeffs)
+        below, above = self.off - lo, hi - self.off - n + 1
+        # growing by at least the length keeps the copying linear
+        if above > 0:
+            self.coeffs += [0] * max(above, n)
+        if below > 0:
+            k = max(below, n)
+            self.coeffs[:0] = [0] * k
+            self.off -= k
+
+    def used(self) -> tuple[int, int]:
+        """The slice of coeffs in use, its zero ends trimmed."""
+        c, off, lo, hi = self.coeffs, self.off, self.lo, self.hi
+        while lo <= hi and not c[hi - off]:
+            hi -= 1
+        while lo <= hi and not c[lo - off]:
+            lo += 1
+        return lo - off, hi - off + 1
+
+
+class _Numerator:
+    """A Rosso-Jones numerator: exponent class -> _ClassList.
+
+    span is None, or the (lowest, highest) whole power of q that any
+    term will take: each class list is then allocated over it at the
+    class's first term, and does not grow while the span holds.
+    """
+
+    __slots__ = ("classes", "span")
+
+    def __init__(self, span: tuple[int, int] | None = None):
+        self.classes: dict[int, _ClassList] = {}
+        self.span = span
+
+    def _class(self, r: int, e: int) -> _ClassList:
+        """The list of class r, made when its first term is at q^e."""
+        row = self.classes.get(r)
+        if row is None:
+            lo, hi = self.span or (e, e)
+            # nothing in use yet: the range is empty
+            row = self.classes[r] = _ClassList(
+                lo, [0] * (hi - lo + 1), hi + 1, lo - 1)
+        return row
+
+    def copy(self) -> "_Numerator":
+        """The terms in use, copied: evaluating the copy leaves self as is."""
+        new = _Numerator()
+        for r, row in self.classes.items():
+            i, j = row.used()
+            lo = row.off + i
+            new.classes[r] = _ClassList(lo, row.coeffs[i:j], lo,
+                                        lo + j - i - 1)
+        return new
+
+
+def _add_numerator(acc: _Numerator,
                    weights: Iterable[tuple[tuple[int, int], int]],
                    a: int, b: int) -> None:
     """Add the Rosso-Jones numerator terms of weights to acc, in place.
 
-    acc maps an exponent on the 1/(6a) lattice to its coefficient; it may
-    hold zero entries.  weights are ((n1, n2), signed multiplicity)
-    pairs; any weight is allowed, including non-dominant ones.  Each term
-    qdim(mu) * theta(mu)^(b/a) is anti-invariant under the Weyl group
-    acting on mu + rho, so a weight on a wall (n1 = -1, n2 = -1 or
-    n1 + n2 = -2) adds nothing, and the other weights need not be
-    straightened to dominant ones.
+    weights are ((n1, n2), signed multiplicity) pairs; any weight is
+    allowed, including non-dominant ones.  Each term qdim(mu) *
+    theta(mu)^(b/a) is anti-invariant under the Weyl group acting on
+    mu + rho, so a weight on a wall (n1 = -1, n2 = -1 or n1 + n2 = -2)
+    adds nothing, and the other weights need not be straightened to
+    dominant ones.
     """
-    h = 3 * a
-    get = acc.get
+    scale, tb = 6 * a, 2 * b
+    r = row = None
     # The sum is order-free, so the terms are taken unsorted.  Each mu
-    # adds -{A}{B}{A+B} q^(t/scale) with A = n1+1 and B = n2+1, so u and v
-    # are the exponents of q^A and q^B; the minus is the sign of the
-    # three divisors.
+    # adds -{A}{B}{A+B} q^(t/scale) with A = n1+1, B = n2+1 and
+    # t = 2b * twist3(mu) = scale*e + k: six monomials of class k, at the
+    # whole powers e +- A +- B.  The minus is the sign of the three
+    # divisors.  The lists are loaded into locals once per class run.
     for (n1, n2), c in weights:
-        t = 2 * b * _twist3(n1, n2)
-        u, v = 2 * h * (n1 + 1), 2 * h * (n2 + 1)
-        k = t + u + v
-        acc[k] = get(k, 0) - c
-        k = t + u
-        acc[k] = get(k, 0) + c
-        k = t + v
-        acc[k] = get(k, 0) + c
-        k = t - u
-        acc[k] = get(k, 0) - c
-        k = t - v
-        acc[k] = get(k, 0) - c
-        k = t - u - v
-        acc[k] = get(k, 0) + c
+        e, k = divmod(tb * (n1 * (n1 + n2 + 3) + n2 * (n2 + 3)), scale)
+        if k != r:
+            if row is not None:
+                row.lo, row.hi = lo, hi
+            r, row = k, acc._class(k, e)
+            off, coeffs, lo, hi = row.off, row.coeffs, row.lo, row.hi
+        A, B = n1 + 1, n2 + 1
+        s = abs(A) + abs(B)
+        # the index guard: a negative index would wrap round silently
+        if e - s < lo or e + s > hi:
+            lo, hi = min(lo, e - s), max(hi, e + s)
+            if lo < off or hi >= off + len(coeffs):
+                row.fit(lo, hi)
+                off = row.off
+        i = e - off
+        coeffs[i + A + B] -= c
+        coeffs[i + A] += c
+        coeffs[i + B] += c
+        coeffs[i - A] -= c
+        coeffs[i - B] -= c
+        coeffs[i - A - B] += c
+    if row is not None:
+        row.lo, row.hi = lo, hi
 
 
-def _evaluate(acc: dict[int, int], a: int, b: int,
+def _evaluate(acc: _Numerator, a: int, b: int,
               color: Weight) -> ScaledLaurent:
     """The invariant of T(a, b) at color from its numerator acc.
 
-    acc is a numerator that _add_numerator built; it is read, never
-    changed, so a caller may add more terms to it afterwards.  color was
-    checked dominant by the caller, so the twists take the unchecked form.
+    acc is a numerator that _add_numerator built.  Its lists become the
+    result's, so acc is used up: a caller that adds more terms afterwards
+    evaluates acc.copy() instead.  color was checked dominant by the
+    caller, so the twists take the unchecked form.
     """
-    scale, h = 6 * a, 3 * a
+    scale = 6 * a
     m1, m2 = color
     ns = (m1 + 1, m2 + 1, m1 + m2 + 2)
-    # the exponents of the nonzero entries; a zero entry may lie off the
-    # lattice they span, so it is skipped, never placed
-    keys = list(compress(acc, acc.values()))
-    lo = min(keys)
-    step = gcd(*map(lo.__rsub__, keys), *(scale * n for n in ns))
-    dense = [0] * ((max(keys) - lo) // step + 1)
-    for e, c in compress(acc.items(), acc.values()):
-        dense[(e - lo) // step] = c
-    for n in ns:
-        _div_stride(dense, scale * n // step)
-    # The divisors are polynomials in q, so every class of exponents mod
-    # the integer lattice that the sum occupies stays occupied: the result
-    # is integral exactly when step and base are.
-    base = lo + h * sum(ns) - 2 * a * a * b * _twist3(m1, m2)
-    if step % scale or base % scale:
+    found = []
+    for r, row in acc.classes.items():
+        i, j = row.used()
+        dense = row.coeffs
+        del dense[j:], dense[:i]
+        if dense:
+            for n in ns:
+                _div_stride(dense, n)
+            found.append((r, row.off + i, dense))
+    if not found:
+        return ScaledLaurent.zero()  # every term cancelled
+    # The divisors are polynomials in q, so each class stays apart: the
+    # result is integral exactly when one class survives and the color's
+    # twist theta(w)^(-ab) takes it onto whole powers.  The three
+    # divisors' q^(-n/2) add m1 + m2 + 2 to every power.
+    (r, lo, dense), *more = found
+    shift = r - 2 * a * a * b * _twist3(m1, m2)
+    if more or shift % scale:
         raise NonIntegralExponentError(
             f"T({a},{b}) at color {tuple(color)} has fractional exponents")
     # scale 1, ascending int exponents, the zero entries left out
     return ScaledLaurent._trusted(
-        1, _DenseTerms(base // scale, step // scale, dense))
+        1, _DenseTerms(lo + m1 + m2 + 2 + shift // scale, 1, dense))
 
 
 def _rosso_jones(weights: Mapping[tuple[int, int], int], a: int, b: int,
@@ -249,7 +347,7 @@ def _rosso_jones(weights: Mapping[tuple[int, int], int], a: int, b: int,
     weights maps (n1, n2) to a signed multiplicity, as _add_numerator
     takes them.
     """
-    acc: dict[int, int] = {}
+    acc = _Numerator()
     _add_numerator(acc, weights.items(), a, b)
     return _evaluate(acc, a, b, color)
 
@@ -265,6 +363,7 @@ def jones_t2b(b: int, color: WeightLike) -> ColoredJonesResult:
     knot = _t2b_knot(b)
     for w, acc in _t2b_numerators(b, color):
         pass  # the last color is color itself, with all its rows
+    # nothing reads the numerator afterwards, so it is evaluated in place
     return ColoredJonesResult(_evaluate(acc, 2, b, w), knot, w, "q")
 
 
@@ -275,19 +374,35 @@ def _t2b_knot(b: int) -> TorusKnotSpec:
     return TorusKnotSpec(2, b)
 
 
+def _t2b_span(b: int, m1: int, m2: int) -> tuple[int, int]:
+    """The (lowest, highest) whole power of q in T(2, b)'s numerator.
+
+    It bounds the numerator of every color on the diagonal up to
+    (m1, m2).  Every row weight mu = (n1, n2) is dominant and puts its
+    terms at e +- (n1+1) +- (n2+1), with e = floor(b*twist3(mu)/6).  The
+    highest comes from (2*m1, 2*m2): along a row, twist3 and n1 + n2 fall
+    as k grows, and each earlier row is the top row of a smaller color.
+    For the lowest, twist3(mu) >= 3S^2/4 + 3S with S = n1 + n2, so
+    e - S - 2 >= S^2/8 - S/2 - 17/6 >= -10/3 for every b >= 1, and the
+    lowest power is at least -3.
+    """
+    return -3, b * _twist3(2 * m1, 2 * m2) // 6 + 2 * (m1 + m2 + 1)
+
+
 def _t2b_numerators(
-        b: int, color: WeightLike) -> Iterator[tuple[Weight, dict[int, int]]]:
+        b: int, color: WeightLike) -> Iterator[tuple[Weight, _Numerator]]:
     """(w, numerator of T(2, b) at w) along the diagonal of color, up to it.
 
     The colors w are (m1 - l, m2 - l) for l = min(m1, m2) down to 0.  Row
     l of psi2(m1, m2) is _psi2_row(m1 - l, m2 - l), so psi2 of each color
     is psi2 of the one before plus one row, and the Rosso-Jones numerator
     is linear in psi2: one numerator grows by a row per color.  This is
-    the one place the rows are summed.  The same dict is yielded each
-    time, so a caller must evaluate it before asking for the next color.
+    the one place the rows are summed.  Its list is sized once, over
+    _t2b_span of color.  The same numerator is yielded each time, so a
+    caller evaluates a copy of it before asking for the next color.
     """
     m1, m2 = _as_dominant(color)
-    acc: dict[int, int] = {}
+    acc = _Numerator(_t2b_span(b, m1, m2))
     for l in range(min(m1, m2), -1, -1):
         w = Weight(m1 - l, m2 - l)
         _add_numerator(acc, _psi2_row(*w), 2, b)
@@ -297,12 +412,13 @@ def _t2b_numerators(
 def _t2b_diagonal(b: int, color: WeightLike) -> Iterator[ColoredJonesResult]:
     """jones_t2b(b, w) for every w on the diagonal of color, up to color.
 
-    One numerator from _t2b_numerators is evaluated at each color, where
-    jones_t2b per color would rebuild the numerator from its first row.
+    One numerator from _t2b_numerators is evaluated, through a copy of
+    the range in use, at each color, where jones_t2b per color would
+    rebuild the numerator from its first row.
     """
     knot = _t2b_knot(b)
     for w, acc in _t2b_numerators(b, color):
-        yield ColoredJonesResult(_evaluate(acc, 2, b, w), knot, w, "q")
+        yield ColoredJonesResult(_evaluate(acc.copy(), 2, b, w), knot, w, "q")
 
 
 def jones_rosso(knot: TorusKnotSpec, color: WeightLike) -> ColoredJonesResult:

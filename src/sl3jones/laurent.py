@@ -8,12 +8,14 @@ have equal scales and terms, and the zero polynomial (the empty term map)
 has scale 1.  The term map has no zero entry and keeps its exponents in
 ascending order, so every reader walks the terms in order with no sort.
 It is a dict, or the _DenseTerms view the torus-knot evaluator puts over
-the dense coefficient list it already holds, so a large invariant keeps
-no dict entry or exponent int per term; mirror keeps it dense, over the
-reversed list.  Every reader goes through the Mapping protocol, so no
-reader has a second code path.  Binary operations work on the lcm of
-the two scales.  All arithmetic is exact; division is long division
-from the lowest exponent and must leave no remainder.
+the numerator's coefficient list, which is in whole powers of q from the
+first term added and is divided in place (the table divides a copy of
+the range in use), so a large invariant keeps no dict entry or exponent
+int per term; mirror keeps it dense, over the reversed list.  Every
+reader goes through the Mapping protocol, so no reader has a second code
+path.  Binary operations work on the lcm of the two scales.  All
+arithmetic is exact; division is long division from the lowest exponent
+and must leave no remainder.
 
 The public constructor checks and normalizes its input, and always keeps
 a dict.  An internal caller that already guarantees the normal form

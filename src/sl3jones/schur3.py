@@ -4,7 +4,9 @@ Polynomials are sparse dicts mapping exponent triples (e1, e2, e3) to
 integer coefficients.  A Schur index straightens to a signed partition
 (or to zero) by adding the staircase delta = (2, 1, 0), sorting with the
 permutation's sign and subtracting delta again; the Schur polynomial of
-a partition is the sum of x^weight over its Gelfand-Tsetlin patterns.
+a partition is the sum of x^weight over its Gelfand-Tsetlin patterns,
+counted weight by weight as the length of one range of the first entry
+of the pattern's middle row.
 Every Schur-basis expansion is one straightening pass: decompose_schur
 straightens the monomials of a symmetric polynomial (the Brauer-Klimyk
 rule with s_0 = 1), products in the Schur basis straighten the index
@@ -23,7 +25,7 @@ from __future__ import annotations
 import functools
 from typing import Dict, Tuple
 
-from .sl3rep import SignedWeightSum, WeightLike, _as_dominant
+from .sl3rep import SignedWeightSum, Weight, WeightLike, _as_dominant
 
 __all__ = [
     "SymPoly3",
@@ -125,14 +127,18 @@ def _schur_cached(lam: GLIndex) -> tuple[tuple[GLIndex, int], ...]:
             return ()
         sign, (l1, l2, l3) = st
     # Gelfand-Tsetlin patterns: l1 >= k1 >= l2 >= k2 >= l3, k1 >= k >= k2;
-    # the weight is (k, k1 + k2 - k, |l| - k1 - k2)
-    out: SymPoly3 = {}
-    for k1 in range(l2, l1 + 1):
-        for k2 in range(l3, l2 + 1):
-            for k in range(k2, k1 + 1):
-                mono = (k, k1 + k2 - k, l1 + l2 + l3 - k1 - k2)
-                out[mono] = out.get(mono, 0) + sign
-    return tuple(sorted(out.items()))
+    # the weight is (k, s - k, |l| - s) with s = k1 + k2.  For fixed k and
+    # s the patterns are the k1 with
+    # max(l2, s - l2, k, s - k) <= k1 <= min(l1, s - l3), and that range is
+    # nonempty exactly for max(l2, k) + l3 <= s <= min(l2, k) + l1.  So k
+    # then s ascending gives the monomials in lexicographic order, each
+    # once, with its pattern count.
+    total = l1 + l2 + l3
+    return tuple(
+        ((k, s - k, total - s),
+         sign * (min(l1, s - l3) - max(l2, s - l2, k, s - k) + 1))
+        for k in range(l3, l1 + 1)
+        for s in range(max(l2, k) + l3, min(l2, k) + l1 + 1))
 
 
 def schur(lam: GLIndex) -> SymPoly3:
@@ -200,11 +206,17 @@ def _weights(pairs) -> SignedWeightSum:
 
     A partition (l1, l2, l3) is the dominant weight (l1 - l2, l2 - l3).
     Determinant powers act trivially on sl3 characters: partitions one
-    full column apart give the same weight, and the constructor adds
-    their multiplicities.
+    full column apart give the same weight, so their multiplicities are
+    added here.  A partition's weight is dominant, so the merged sum is
+    built with _trusted.
     """
-    return SignedWeightSum([((l1 - l2, l2 - l3), c)
-                            for (l1, l2, l3), c in pairs])
+    out: dict[Weight, int] = {}
+    for (l1, l2, l3), c in pairs:
+        w = Weight(l1 - l2, l2 - l3)
+        out[w] = out.get(w, 0) + c
+    if 0 in out.values():  # a scan is cheaper than always copying
+        out = {w: c for w, c in out.items() if c}
+    return SignedWeightSum._trusted(out)
 
 
 def psi_oracle(w: WeightLike, a: int) -> SignedWeightSum:

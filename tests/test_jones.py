@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from sl3jones import jones, schur3
 from sl3jones.jones import (ColoredJonesResult, TorusKnotSpec, _add_numerator,
-                            _div_stride, _evaluate, _rosso_jones,
-                            _t2b_diagonal, degree_report, jones_rosso,
-                            jones_t2b)
+                            _div_stride, _evaluate, _Numerator, _rosso_jones,
+                            _t2b_diagonal, _t2b_span, degree_report,
+                            jones_rosso, jones_t2b)
 from sl3jones.laurent import (InexactDivisionError, NonIntegralExponentError,
                               ScaledLaurent, UndefinedDegreeError,
                               _DenseTerms)
@@ -216,6 +216,19 @@ def test_fractional_exponents_raise():
         ScaledLaurent(1, {-5: 1})
 
 
+def test_two_exponent_classes_raise():
+    # at color (0, 0) every weight's term divides exactly; (0, 0) and
+    # (1, 0) lie in classes 0 and 8 of the 1/12 lattice for T(2, 1), so
+    # the first alone is integral, the two together are not
+    w = Weight(0, 0)
+    assert _rosso_jones({(0, 0): 1}, 2, 1, w) == ScaledLaurent.one()
+    acc = _Numerator()
+    _add_numerator(acc, [((0, 0), 1), ((1, 0), 1)], 2, 1)
+    assert sorted(acc.classes) == [0, 8]
+    with pytest.raises(NonIntegralExponentError):
+        _evaluate(acc, 2, 1, w)
+
+
 @settings(max_examples=120)
 @given(st.lists(st.integers(-10**12, 10**12), min_size=1, max_size=40),
        st.integers(1, 12), st.data())
@@ -354,13 +367,16 @@ def test_jones_rosso_makes_no_schur_decomposition(monkeypatch):
 # -- the diagonal chain --------------------------------------------------------
 
 
+def edge_tops(mx):
+    """The diagonals ending on the top and right edges cover the square."""
+    return [(m1, mx) for m1 in range(mx + 1)] + [(mx, m2) for m2 in range(mx)]
+
+
 @pytest.mark.parametrize("b, mx", [(1, 12), (3, 12), (5, 12), (7, 12),
                                    (51, 6)])
 def test_diagonal_chain_matches_jones_t2b(b, mx):
-    # the diagonals ending on the square's top and right edges cover it
-    tops = [(m1, mx) for m1 in range(mx + 1)] + [(mx, m2) for m2 in range(mx)]
     seen = []
-    for top in tops:
+    for top in edge_tops(mx):
         chain = list(_t2b_diagonal(b, top))
         assert chain[-1].color == top
         for res in chain:
@@ -377,25 +393,127 @@ def test_diagonal_chain_validates_its_arguments():
             next(_t2b_diagonal(b, color))
 
 
+def in_use(acc):
+    """Each class's lowest whole power and coefficients in use, trimmed."""
+    out = {}
+    for r, row in acc.classes.items():
+        i, j = row.used()
+        out[r] = (row.off + i, row.coeffs[i:j])
+    return out
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([1, 3, 5, 51]), st.integers(0, 10),
        st.lists(st.booleans(), min_size=1, max_size=10))
 def test_evaluation_leaves_the_numerator_unchanged(b, d, evaluated):
-    # one numerator is evaluated at the cells marked in evaluated, its
-    # twin at none: both must end as the same numerator and value
-    acc, twin = {}, {}
+    # one numerator, sized as the diagonal sizes it, is evaluated through
+    # the copy the diagonal takes at the cells marked in evaluated; its
+    # twin, which grows, at none: both must end as the same numerator
+    # and value
+    n = len(evaluated) - 1
+    acc, twin = _Numerator(_t2b_span(b, n, n + d)), _Numerator()
     for j, evaluate in enumerate(evaluated):
         w = Weight(j, j + d)
         row = list(_psi2_row(*w))
         _add_numerator(acc, row, 2, b)
         _add_numerator(twin, row, 2, b)
         if evaluate:
-            before = list(acc.items())
-            assert _evaluate(acc, 2, b, w) == jones_t2b(b, w).value
-            assert list(acc.items()) == before
-    assert acc == twin
+            before = in_use(acc)
+            assert _evaluate(acc.copy(), 2, b, w) == jones_t2b(b, w).value
+            assert in_use(acc) == before
+    assert in_use(acc) == in_use(twin)
     assert _evaluate(acc, 2, b, w) == _evaluate(twin, 2, b, w) == \
         jones_t2b(b, w).value
+
+
+# -- the numerator's lists -------------------------------------------------
+
+
+def class_counts(monkeypatch):
+    """The class count of each numerator after each _add_numerator call."""
+    counts = []
+    add = jones._add_numerator
+
+    def counting(acc, weights, a, b):
+        add(acc, weights, a, b)
+        counts.append(len(acc.classes))
+
+    monkeypatch.setattr(jones, "_add_numerator", counting)
+    return counts
+
+
+def test_t2b_rows_fill_one_class(monkeypatch):
+    counts = class_counts(monkeypatch)
+    for b in range(1, 52, 2):
+        for top in edge_tops(12):
+            for w, acc in jones._t2b_numerators(b, top):
+                pass
+    # one call per cell of each diagonal, and every numerator one class
+    assert len(counts) == 26 * 13 * 13 and set(counts) == {1}
+
+
+def test_adams_weights_fill_one_class(monkeypatch):
+    counts = class_counts(monkeypatch)
+    for a, b in ((3, 4), (4, 5), (5, 3)):
+        for m1 in range(7):
+            for m2 in range(7):
+                jones_rosso(TorusKnotSpec(a, b), (m1, m2))
+    assert len(counts) == 3 * 49 and set(counts) == {1}
+
+
+def test_oracle_weights_fill_one_class():
+    for a, b in ((2, 3), (2, 5), (3, 4), (3, 5), (4, 5), (5, 3)):
+        for m1 in range(7):
+            for m2 in range(7):
+                acc = _Numerator()
+                _add_numerator(acc, psi_oracle((m1, m2), a)._terms.items(),
+                               a, b)
+                assert len(acc.classes) == 1, (a, b, m1, m2)
+
+
+@pytest.mark.parametrize("b, mx", [(1, 14), (3, 8), (201, 8)])
+def test_t2b_span_holds_along_every_diagonal(b, mx):
+    # each list is allocated over the span once and never grows, and
+    # its top is attained by (2*m1, 2*m2)
+    for top in edge_tops(mx):
+        lo, hi = _t2b_span(b, *top)
+        for w, acc in jones._t2b_numerators(b, top):
+            (row,) = acc.classes.values()
+            assert (row.off, len(row.coeffs)) == (lo, hi - lo + 1)
+            assert lo <= row.lo and row.hi <= hi
+        assert row.hi == hi, (b, top)
+
+
+def test_a_numerator_grows_both_ways():
+    # the weights run from the middle outwards, so an unsized list grows
+    # at both ends, and so does a list sized too small; the value is the
+    # sized numerator's
+    b, w = 5, Weight(6, 9)
+    weights = sorted(psi2_closed(w)._terms.items(),
+                     key=lambda wc: abs(sum(wc[0]) - 12))
+    span = _t2b_span(b, *w)
+    sized = _Numerator(span)
+    _add_numerator(sized, weights, 2, b)
+    for acc in (_Numerator(), _Numerator((20, 21))):
+        _add_numerator(acc, weights, 2, b)
+        (row,) = acc.classes.values()
+        assert row.off < 0 and row.off + len(row.coeffs) > span[1]
+        assert in_use(acc) == in_use(sized)
+        assert _evaluate(acc, 2, b, w) == jones_t2b(b, w).value
+
+
+@pytest.mark.parametrize("a", [2, 3])
+@pytest.mark.parametrize("weights", [
+    {},
+    {(-1, 3): 1},
+    {(-1, 0): 2, (4, -1): -1, (3, -5): 7},
+    # (-3, 2) is (1, 0) reflected by s1, so the two terms cancel
+    {(1, 0): 1, (-3, 2): 1},
+])
+def test_a_numerator_that_cancels_is_the_zero_value(a, weights):
+    for b in (1, 5):
+        for w in (Weight(0, 0), Weight(2, 1)):
+            assert _rosso_jones(weights, a, b, w) == ScaledLaurent.zero()
 
 
 # -- trusted result construction ---------------------------------------------
@@ -411,6 +529,10 @@ def assert_as_public(value):
     assert value.items() == public.items()
     assert all(type(e) is int and type(c) is int and c
                for e, c in value.items())
+    # the numerator's zero ends were trimmed: the list holds no more
+    # than the span of the terms
+    coeffs = value._terms._coeffs
+    assert coeffs[0] and coeffs[-1]
 
 
 @settings(max_examples=60, deadline=None)

@@ -11,7 +11,7 @@ from sl3jones.schur3 import (NotSymmetricError, adams, decompose_schur,
                              is_symmetric, mul_sym, psi_oracle, schur,
                              straighten, verify_lemma_LR,
                              verify_lemma_psi2_recurrence)
-from sl3jones.sl3rep import SignedWeightSum, dimension
+from sl3jones.sl3rep import SignedWeightSum, Weight, dimension
 
 partitions = st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6)) \
     .map(lambda t: tuple(sorted(t, reverse=True)))
@@ -55,6 +55,55 @@ def test_schur_bad_index():
         schur((1, 0))
     with pytest.raises(ValueError):
         schur((-3, 0, 0))
+
+
+def schur_reference(lam):
+    """s_lam by its Gelfand-Tsetlin patterns, one pattern at a time.
+
+    The literal triple loop over l1 >= k1 >= l2 >= k2 >= l3 and
+    k1 >= k >= k2, after straightening lam, as a dict.
+    """
+    st_ = straighten(lam)
+    if st_ is None:
+        return {}
+    sign, (l1, l2, l3) = st_
+    out = {}
+    for k1 in range(l2, l1 + 1):
+        for k2 in range(l3, l2 + 1):
+            for k in range(k2, k1 + 1):
+                mono = (k, k1 + k2 - k, l1 + l2 + l3 - k1 - k2)
+                out[mono] = out.get(mono, 0) + sign
+    return out
+
+
+def test_schur_counts_match_the_pattern_loop():
+    # every partition with l1 <= 15, two large ones, and the indices
+    # that straighten from a small box
+    parts = [(l1, l2, l3) for l1 in range(16) for l2 in range(l1 + 1)
+             for l3 in range(l2 + 1)]
+    parts += [(80, 40, 0), (120, 60, 0)]
+    others = [lam for lam in product(range(-2, 6), range(-1, 6), range(6))
+              if not lam[0] >= lam[1] >= lam[2]]
+    for lam in parts + others:
+        want = schur_reference(lam)
+        # the cached tuple is already in lexicographic order, one entry
+        # per monomial, with no zero multiplicity
+        assert schur3._schur_cached(lam) == tuple(sorted(want.items())), lam
+
+
+def test_weights_is_what_the_constructor_builds():
+    # partitions one full column apart merge, and may cancel
+    pairs = [((3, 1, 0), 2), ((4, 2, 1), -2), ((2, 2, 2), 1), ((1, 1, 1), 1),
+             ((5, 2, 0), -1), ((6, 3, 1), 3)]
+    for m1, m2, a in ((0, 0, 2), (3, 1, 2), (2, 4, 3), (5, 5, 4)):
+        pairs += decompose_schur(adams(schur((m1 + m2, m2, 0)), a)).items()
+    for cut in range(len(pairs) + 1):
+        got = schur3._weights(pairs[:cut])
+        public = SignedWeightSum([((l1 - l2, l2 - l3), c)
+                                  for (l1, l2, l3), c in pairs[:cut]])
+        assert got == public and hash(got) == hash(public)
+        assert got._terms == public._terms
+        assert all(type(w) is Weight and c for w, c in got._terms.items())
 
 
 # -- straightening --------------------------------------------------------
