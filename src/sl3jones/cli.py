@@ -36,7 +36,8 @@ from .jones import (TorusKnotSpec, _degree_window, _rosso_jones, _t2b_diagonal,
                     degree_report, jones_rosso, jones_t2b)
 from .laurent import LaurentError
 from .plethysm2 import psi2_closed, psi2_schur_form, signed_dimension
-from .schur3 import psi_oracle, verify_lemma_LR, verify_lemma_psi2_recurrence
+from .schur3 import (NotSymmetricError, psi_oracle, verify_lemma_LR,
+                     verify_lemma_psi2_recurrence)
 from .sl3rep import (dimension, qdim_closed, qdim_weyl, twist_monomial,
                      twist_weyl_check)
 
@@ -507,12 +508,14 @@ def main(argv=None) -> int:
             return _cmd_selfcheck(args)
         return _emit(args, _with_cache(
             args, lambda: _writer(args, args.func(args))))
+    # NotSymmetricError is a ValueError, so this clause comes first: a
+    # character that fails the symmetry check is a fault, not a usage error
+    except (LaurentError, ArithmeticError, NotSymmetricError) as exc:
+        print(f"internal consistency error: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (LaurentError, ArithmeticError) as exc:
-        print(f"internal consistency error: {exc}", file=sys.stderr)
-        return 3
     except BrokenPipeError:
         # the reader closed stdout, as `| head` does: point fd 1 at
         # /dev/null so the flush at exit has nowhere to fail

@@ -6,7 +6,10 @@ integer coefficients.  A Schur index straightens to a signed partition
 permutation's sign and subtracting delta again; the Schur polynomial of
 a partition is the sum of x^weight over its Gelfand-Tsetlin patterns,
 counted weight by weight as the length of one range of the first entry
-of the pattern's middle row.
+of the pattern's middle row.  For each entry k of the bottom row those
+counts form a symmetric trapezoid 1, 2, ..., p+1, ..., p+1, ..., 2, 1,
+so each run of monomials is built from ranges and repeats in C, not one
+min/max per monomial.
 Every Schur-basis expansion is one straightening pass: decompose_schur
 straightens the monomials of a symmetric polynomial (the Brauer-Klimyk
 rule with s_0 = 1), products in the Schur basis straighten the index
@@ -18,11 +21,21 @@ character and decomposes the result; it is the independent cross-check
 for the closed second-plethysm formula in the plethysm2 module, and for
 the weight form of the invariant in the jones module, which sums the
 Adams image with no decomposition.
+Both the characters and the decomposed Adams images are memoized per
+process, in lru_caches of 4096 entries.  The recurrence check reads
+psi2 of s_{m1,m2}, s_{m1+1,m2}, s_{m1-1,m2-1} and s_{m1,m2+1}, which
+psi_oracle decomposes too (as V_(m1-m2, m2)), so in a session that runs
+both, as selfcheck and the benchmark's oracle list do, the recurrence
+rereads psi_oracle's decompositions instead of redoing them; it still
+multiplies one of them by p_2 and compares both sides as weights.
+decompose_schur itself is not memoized and checks symmetry on every
+call.
 """
 
 from __future__ import annotations
 
 import functools
+from itertools import chain, repeat
 from typing import Dict, Tuple
 
 from .sl3rep import SignedWeightSum, Weight, WeightLike, _as_dominant
@@ -130,15 +143,30 @@ def _schur_cached(lam: GLIndex) -> tuple[tuple[GLIndex, int], ...]:
     # the weight is (k, s - k, |l| - s) with s = k1 + k2.  For fixed k and
     # s the patterns are the k1 with
     # max(l2, s - l2, k, s - k) <= k1 <= min(l1, s - l3), and that range is
-    # nonempty exactly for max(l2, k) + l3 <= s <= min(l2, k) + l1.  So k
-    # then s ascending gives the monomials in lexicographic order, each
-    # once, with its pattern count.
+    # nonempty exactly for lo = max(l2, k) + l3 <= s <= min(l2, k) + l1 = hi.
+    # So k then s ascending gives the monomials in lexicographic order,
+    # each once, with its pattern count.
+    # Along s the count is min(l1, s - l3) - max(max(l2, k), s - min(l2, k))
+    # + 1: the first term rises with slope 1 up to s = l1 + l3 and then
+    # stays, the second stays up to s = l2 + k and then rises.  The count
+    # is 1 at lo and at hi, so it is a symmetric trapezoid (lo + hi =
+    # (l1 + l3) + (l2 + k)): it rises 1, 2, ..., p + 1 up to
+    # s = min(l1 + l3, l2 + k), stays at p + 1 for
+    # |(l1 + l3) - (l2 + k)| + 1 steps and falls p, ..., 1, where
+    # p = min(l1 + l3, l2 + k) - max(l2, k) - l3 >= 0.  Each k's
+    # monomials and counts are built from C-level ranges and repeats.
     total = l1 + l2 + l3
-    return tuple(
-        ((k, s - k, total - s),
-         sign * (min(l1, s - l3) - max(l2, s - l2, k, s - k) + 1))
-        for k in range(l3, l1 + 1)
-        for s in range(max(l2, k) + l3, min(l2, k) + l1 + 1))
+    runs = []
+    for k in range(l3, l1 + 1):
+        lo, hi = max(l2, k) + l3, min(l2, k) + l1
+        p = min(l1 + l3, l2 + k) - lo
+        counts = chain(range(sign, sign * (p + 1), sign),
+                       repeat(sign * (p + 1), abs(l1 + l3 - l2 - k) + 1),
+                       range(sign * p, 0, -sign))
+        monomials = zip(repeat(k), range(lo - k, hi - k + 1),
+                        range(total - lo, total - hi - 1, -1))
+        runs.append(zip(monomials, counts))
+    return tuple(chain.from_iterable(runs))
 
 
 def schur(lam: GLIndex) -> SymPoly3:
@@ -211,12 +239,27 @@ def _weights(pairs) -> SignedWeightSum:
     built with _trusted.
     """
     out: dict[Weight, int] = {}
+    get, make = out.get, Weight._make
     for (l1, l2, l3), c in pairs:
-        w = Weight(l1 - l2, l2 - l3)
-        out[w] = out.get(w, 0) + c
+        w = make((l1 - l2, l2 - l3))
+        out[w] = get(w, 0) + c
     if 0 in out.values():  # a scan is cheaper than always copying
         out = {w: c for w, c in out.items() if c}
     return SignedWeightSum._trusted(out)
+
+
+@functools.lru_cache(maxsize=4096)
+def _adams_decomposed(lam: GLIndex, a: int) -> tuple[tuple[GLIndex, int], ...]:
+    """The Schur expansion of psi^a(s_lam) as (partition, c) pairs.
+
+    Memoized: psi_oracle and verify_lemma_psi2_recurrence read the same
+    Adams images, and each is decomposed once per process.  schur, adams
+    and decompose_schur are called through the module's globals, so a
+    rebound name is seen on every miss; decompose_schur checks symmetry
+    on every call it gets.  The entry is a tuple, which no reader can
+    change.
+    """
+    return tuple(decompose_schur(adams(schur(lam), a)).items())
 
 
 def psi_oracle(w: WeightLike, a: int) -> SignedWeightSum:
@@ -224,13 +267,13 @@ def psi_oracle(w: WeightLike, a: int) -> SignedWeightSum:
 
     Builds the character as s_{(m1+m2, m2, 0)}, applies x_i -> x_i^a and
     decomposes back into Schur terms, returned as dominant sl3 weights
-    (l1 - l2, l2 - l3) with signed multiplicities.
+    (l1 - l2, l2 - l3) with signed multiplicities.  The decomposition is
+    memoized per process (_adams_decomposed).
     """
     wt = _as_dominant(w)
     if not isinstance(a, int) or a < 1:
         raise ValueError(f"Adams degree must be a positive integer, got {a!r}")
-    ch = schur((wt.m1 + wt.m2, wt.m2, 0))
-    return _weights(decompose_schur(adams(ch, a)).items())
+    return _weights(_adams_decomposed((wt.m1 + wt.m2, wt.m2, 0), a))
 
 
 def verify_lemma_LR(m1: int, m2: int) -> bool:
@@ -303,11 +346,10 @@ def verify_lemma_psi2_recurrence(m1: int, m2: int) -> bool:
     if not (isinstance(m1, int) and isinstance(m2, int) and m1 >= m2 + 1 >= 1):
         raise ValueError(f"recurrence needs m1 >= m2 + 1 >= 1, got ({m1}, {m2})")
 
-    def psi2(a, b):
-        return adams(schur((a, b, 0)), 2)
+    def psi2(a, b):  # the (partition, c) pairs of psi2(s_{a,b})
+        return _adams_decomposed((a, b, 0), 2)
 
-    rhs = list(_product(decompose_schur(psi2(m1, m2)), _P2).items())
+    rhs = list(_product(dict(psi2(m1, m2)), _P2).items())
     for a, b in ((m1 + 1, m2), (m1 - 1, m2 - 1)):
-        rhs += [(part, -c) for part, c in decompose_schur(psi2(a, b)).items()]
-    lhs = decompose_schur(psi2(m1, m2 + 1))
-    return _weights(lhs.items()) == _weights(rhs)
+        rhs += [(part, -c) for part, c in psi2(a, b)]
+    return _weights(psi2(m1, m2 + 1)) == _weights(rhs)

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import sl3jones.cli as cli
+from sl3jones import schur3
 from sl3jones.jones import (TorusKnotSpec, degree_report, jones_rosso,
                             jones_t2b)
 from sl3jones.laurent import InexactDivisionError
@@ -700,6 +701,30 @@ def test_failed_out_write_on_a_miss_stores_no_entry(tmp_path, capsys,
     assert code == 2 and out == ""
     assert "cannot write --out" in err
     assert list(cdir.iterdir()) == []
+
+
+def test_a_broken_character_is_an_internal_error(capsys, monkeypatch,
+                                                cold_schur3_memos):
+    # NotSymmetricError is a ValueError, yet a character that fails the
+    # symmetry check is a fault of the package, not of the request
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    real = schur3.schur
+
+    def bumped(lam):  # one coefficient too many: no longer symmetric
+        out = real(lam)
+        out[min(out)] += 1
+        return out
+
+    monkeypatch.setattr(schur3, "schur", bumped)
+    code, out, err = run(capsys, "plethysm", "--a", "3", "--m1", "2",
+                         "--m2", "1")
+    assert code == 3 and out == ""
+    assert err == ("internal consistency error: "
+                   "input is not a symmetric polynomial\n")
+    code, out, err = run(capsys, "plethysm", "--a", "0", "--m1", "2",
+                         "--m2", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: ")
 
 
 def test_inexact_division_leaves_no_out_file(tmp_path, capsys, monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import clear_schur3_memos
 from sl3jones import jones, schur3
 from sl3jones.jones import (ColoredJonesResult, TorusKnotSpec, _add_numerator,
                             _div_stride, _evaluate, _Numerator, _rosso_jones,
@@ -349,7 +350,8 @@ def test_weight_form_matches_straightened_oracle(a, b, m1, m2):
         jones_rosso(TorusKnotSpec(a, b), w).value
 
 
-def test_jones_rosso_makes_no_schur_decomposition(monkeypatch):
+def test_jones_rosso_makes_no_schur_decomposition(monkeypatch,
+                                                  cold_schur3_memos):
     cases = [(TorusKnotSpec(a, b), w) for a, b in ((2, 3), (3, 4), (5, 2))
              for w in ((0, 0), (3, 1), (2, 5))]
     want = [jones_rosso(knot, w).value for knot, w in cases]
@@ -360,7 +362,7 @@ def test_jones_rosso_makes_no_schur_decomposition(monkeypatch):
     for name in ("decompose_schur", "straighten", "is_symmetric"):
         monkeypatch.setattr(schur3, name, refuse)
     monkeypatch.setattr(SignedWeightSum, "__init__", refuse)
-    schur3._schur_cached.cache_clear()  # the character is rebuilt, too
+    clear_schur3_memos()  # the character is rebuilt, too
     assert [jones_rosso(knot, w).value for knot, w in cases] == want
 
 

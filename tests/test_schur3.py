@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import clear_schur3_memos
 from sl3jones import schur3
+from sl3jones.plethysm2 import psi2_closed
 from sl3jones.schur3 import (NotSymmetricError, adams, decompose_schur,
                              is_symmetric, mul_sym, psi_oracle, schur,
                              straighten, verify_lemma_LR,
@@ -77,11 +79,13 @@ def schur_reference(lam):
 
 
 def test_schur_counts_match_the_pattern_loop():
-    # every partition with l1 <= 15, two large ones, and the indices
+    # every partition with l1 <= 15, large ones (the count's plateau
+    # falls on either side, or the third row is nonzero), and the indices
     # that straighten from a small box
     parts = [(l1, l2, l3) for l1 in range(16) for l2 in range(l1 + 1)
              for l3 in range(l2 + 1)]
-    parts += [(80, 40, 0), (120, 60, 0)]
+    parts += [(80, 40, 0), (120, 60, 0), (60, 60, 0), (60, 30, 30),
+              (90, 45, 7), (50, 49, 1), (70, 0, 0), (70, 70, 70)]
     others = [lam for lam in product(range(-2, 6), range(-1, 6), range(6))
               if not lam[0] >= lam[1] >= lam[2]]
     for lam in parts + others:
@@ -287,7 +291,8 @@ def test_product_rejects_non_symmetric_factor():
         schur3._product({(1, 0, 0): 1}, {(1, 0, 0): 1})
 
 
-def test_lemma_checks_expand_no_monomial_product(monkeypatch):
+def test_lemma_checks_expand_no_monomial_product(monkeypatch,
+                                                 cold_schur3_memos):
     def refuse(*args, **kwargs):
         raise AssertionError("a product was expanded into monomials")
 
@@ -332,6 +337,9 @@ def test_psi_oracle_fundamental_square():
     # second Adams image of the one-row character s_m is the signed
     # hook sum over s_{2m-k, k}; at m = 1 that is s_2 - s_{1,1}
     assert psi_oracle((1, 0), 2) == SignedWeightSum({(2, 0): 1, (0, 1): -1})
+    # the third is p_3 = s_3 - s_(2,1) + s_(1,1,1), and s_(1,1,1) is trivial
+    assert psi_oracle((1, 0), 3) == \
+        SignedWeightSum({(3, 0): 1, (1, 1): -1, (0, 0): 1})
 
 
 def test_psi_oracle_one_row_hooks():
@@ -391,7 +399,8 @@ def test_lemma_LR_range():
 
 
 @pytest.mark.parametrize("factor", [(1, 0, 0), (2, 0, 0), (1, 1, 0), "p2"])
-def test_lemma_checks_fail_on_a_dropped_product_term(monkeypatch, factor):
+def test_lemma_checks_fail_on_a_dropped_product_term(monkeypatch, factor,
+                                                     cold_schur3_memos):
     # each product row of the checks, the one-box row included, is compared
     g = schur3._P2 if factor == "p2" else schur(factor)
     full = schur3._product
@@ -427,3 +436,86 @@ def test_psi2_recurrence_range():
 def test_psi2_recurrence_precondition():
     with pytest.raises(ValueError):
         verify_lemma_psi2_recurrence(2, 2)
+
+
+# -- the Adams-image memo ---------------------------------------------------
+
+
+def oracle_answers(cold):
+    """psi_oracle for a = 2 over 0..10^2 and a = 3 over 0..6^2, then the
+    recurrence over m1 <= 10: the oracle's share of the benchmark's
+    request list.  With cold, both memos are emptied before every call.
+    """
+    calls = [(psi_oracle, (m1, m2), a) for a, mx in ((2, 10), (3, 6))
+             for m1 in range(mx + 1) for m2 in range(mx + 1)]
+    calls += [(verify_lemma_psi2_recurrence, m1, m2)
+              for m1 in range(1, 11) for m2 in range(m1)]
+    answers = []
+    for fn, *args in calls:
+        if cold:
+            clear_schur3_memos()
+        answers.append(fn(*args))
+    return answers
+
+
+def test_the_memos_change_no_answer(cold_schur3_memos):
+    warm = oracle_answers(cold=False)
+    assert all(ok for ok in warm if type(ok) is bool)
+    assert oracle_answers(cold=False) == warm  # every image from the memo
+    assert oracle_answers(cold=True) == warm
+
+
+def test_each_adams_image_is_decomposed_once(monkeypatch, cold_schur3_memos):
+    # the recurrence rereads the images psi_oracle decomposed before it:
+    # psi^a(s_lam) for 170 (lam, a) from psi_oracle and 85 (lam, 2) from
+    # the recurrence, 181 of them distinct
+    keys = {((m1 + m2, m2, 0), a) for a, mx in ((2, 10), (3, 6))
+            for m1 in range(mx + 1) for m2 in range(mx + 1)}
+    keys |= {((x, y, 0), 2) for m1 in range(1, 11) for m2 in range(m1)
+             for x, y in ((m1, m2), (m1 + 1, m2), (m1 - 1, m2 - 1),
+                          (m1, m2 + 1))}
+    calls = []
+    real = schur3.decompose_schur
+
+    def counting(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(schur3, "decompose_schur", counting)
+    oracle_answers(cold=False)
+    assert len(calls) == len(keys) == 181
+
+
+def test_the_memo_does_not_hide_a_dropped_partition(monkeypatch,
+                                                   cold_schur3_memos):
+    # psi2 of s_(4,1,0), the character of V_(3,1), loses its highest
+    # partition; psi_oracle leaves the image in the memo for the
+    # recurrence, whose requests (m1, m2) read the images of (m1, m2),
+    # (m1 + 1, m2), (m1 - 1, m2 - 1) and (m1, m2 + 1)
+    target = adams(schur((4, 1, 0)), 2)
+    real = schur3.decompose_schur
+
+    def drop_highest(f):
+        out = real(f)
+        if f == target:
+            del out[max(out)]
+        return out
+
+    monkeypatch.setattr(schur3, "decompose_schur", drop_highest)
+    assert psi_oracle((3, 1), 2) != psi2_closed((3, 1))
+    readers = {(4, 1), (3, 1), (5, 2), (4, 0)}
+    for m1 in range(1, 11):
+        for m2 in range(m1):
+            assert verify_lemma_psi2_recurrence(m1, m2) == \
+                ((m1, m2) not in readers), (m1, m2)
+
+
+def test_a_memo_entry_is_left_as_it_was_read(cold_schur3_memos):
+    entry = schur3._adams_decomposed((4, 1, 0), 2)
+    hits = schur3._adams_decomposed.cache_info().hits
+    assert psi_oracle((3, 1), 2) == psi2_closed((3, 1))
+    for m1, m2 in ((4, 1), (3, 1), (5, 2), (4, 0)):
+        assert verify_lemma_psi2_recurrence(m1, m2), (m1, m2)
+    assert schur3._adams_decomposed.cache_info().hits >= hits + 5
+    assert schur3._adams_decomposed((4, 1, 0), 2) is entry
+    assert entry == tuple(decompose_schur(adams(schur((4, 1, 0)), 2)).items())
