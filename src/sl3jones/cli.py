@@ -323,6 +323,7 @@ def _selfcheck_properties(mx: int):
     rng2 = [(m1, m2) for m1 in range(mx + 1) for m2 in range(mx + 1)]
 
     def qdim_weyl_equivalence():
+        # the evaluator's stride divisions against the long division
         return all(qdim_weyl(w) == qdim_closed(w) for w in rng2)
 
     def twist_pairing():

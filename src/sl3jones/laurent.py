@@ -27,23 +27,28 @@ the base of the package's slotted value types.
 write_text and write_json are the one text and the one JSON writer: each
 hands the rendering, straight from the ordered terms, to a write
 callable in chunks of CHUNK_TERMS terms, so a value of any size is
-written holding one chunk.  A JSON chunk is one %-format over the flat
-run of its exponents and coefficients; a text chunk formats term by
-term, since its sign-dependent separator would cost a second pass over
-the chunk.  to_text and to_json join the same chunks, and to_json_dict
-is the parse of to_json.  The package's methods that need the json
-module import it when called, so importing the library alone does not
-load it; the functions that return a Fraction (degree_span here,
-pairing and twist_weyl_check in sl3rep) import the fractions module
-the same way.
+written holding one chunk.  Both read the terms as two aligned columns,
+iter(terms) and iter(terms.values()), and loop until the columns run
+out, so no writer asks for the length.  A chunk is one %-format over the
+two columns interleaved into one flat list by slice assignment, with no
+tuple per term: a JSON chunk over (exponent, coefficient), a text chunk
+over (coefficient, exponent) with every separator " + ", then one
+replace of "+ -" by "- " for the negative coefficients.  No exponent
+text holds "+ ", so the replace touches separators only.  to_text and
+to_json join the same chunks, and to_json_dict is the parse of to_json.
+The package's methods that need the json module import it when called,
+so importing the library alone does not load it; the functions that
+return a Fraction (degree_span here, pairing and twist_weyl_check in
+sl3rep) import the fractions module the same way.
 """
 
 from __future__ import annotations
 
 from collections.abc import (Callable, Iterable, ItemsView, Iterator, Mapping,
                              ValuesView)
-from itertools import chain, compress, islice
+from itertools import compress, islice, repeat
 from math import gcd, lcm
+from operator import countOf
 from typing import TYPE_CHECKING, Union
 
 if TYPE_CHECKING:
@@ -145,6 +150,23 @@ def _joined(write_chunks: Callable[[Write], None]) -> str:
     return "".join(parts)
 
 
+def _chunk(fmt: str, lead: Iterator, other: Iterator) -> str:
+    """The next CHUNK_TERMS pairs of two aligned columns, fmt % each pair.
+
+    fmt formats one pair, lead's entry first.  The chunk is one %-format
+    over the pairs interleaved into one flat list by slice assignment, and
+    is "" once lead has run out.  Nothing of the chunk's terms outlives
+    the call.
+    """
+    flat = list(islice(lead, CHUNK_TERMS))
+    k = len(flat)
+    flat *= 2
+    flat[::2] = flat[:k]
+    flat[1::2] = islice(other, k)
+    flat = tuple(flat)  # % takes a tuple; the list goes before the format
+    return (fmt * k) % flat
+
+
 def _fraction_text(e: int, scale: int) -> str:
     """The exponent e/scale in lowest terms, parenthesized if fractional."""
     g = gcd(e, scale)
@@ -158,16 +180,16 @@ class _DenseTerms(Mapping):
     The exponent base + i*step, for step >= 1, maps to coeffs[i]; a zero
     entry of coeffs is no term.  Iteration runs over the nonzero entries
     with compress, lookups are index arithmetic, and nothing is copied, so
-    the caller must not change coeffs afterwards.  A pickle or copy is a
-    plain dict.
+    the caller must not change coeffs afterwards.  The length is counted
+    when asked, since no writer needs it, and truth is any(coeffs), which
+    stops at the first term.  A pickle or copy is a plain dict.
     """
 
-    __slots__ = ("_keys", "_coeffs", "_len")
+    __slots__ = ("_keys", "_coeffs")
 
     def __init__(self, base: int, step: int, coeffs: list[int]):
         self._keys = range(base, base + step * len(coeffs), step)
         self._coeffs = coeffs
-        self._len = len(coeffs) - coeffs.count(0)
 
     def __iter__(self) -> Iterator[int]:
         return compress(self._keys, self._coeffs)
@@ -176,7 +198,10 @@ class _DenseTerms(Mapping):
         return compress(reversed(self._keys), reversed(self._coeffs))
 
     def __len__(self) -> int:
-        return self._len
+        return len(self._coeffs) - countOf(self._coeffs, 0)
+
+    def __bool__(self) -> bool:
+        return any(self._coeffs)
 
     def get(self, e, default=None):
         # `in` and index on a range are arithmetic for an int only; any
@@ -487,20 +512,18 @@ class ScaledLaurent(_Value):
         if not terms:
             write("0")
             return
-        scale = self.scale
-        # The terms are read in their own ascending order, and the first
-        # separator (a bare sign, or none for a plus) is fixed on its own
-        # piece.
-        pairs = iter(terms.items())
-        if scale != 1:
-            pairs = ((_fraction_text(e, scale), c) for e, c in pairs)
-        for start in range(0, len(terms), CHUNK_TERMS):
-            parts = [f" + {c}*q^{e}" if c > 0 else f" - {-c}*q^{e}"
-                     for e, c in islice(pairs, CHUNK_TERMS)]
-            if not start:
-                first = parts[0]
-                parts[0] = first[3:] if first[1] == "+" else "-" + first[3:]
-            write("".join(parts))
+        # The coefficient column leads, beside the exponents as text
+        # unless whole (%s of an int prints what %d prints).  The first
+        # separator (a bare sign, or none for a plus) is fixed on the first
+        # chunk.
+        fmt, coeffs, exps = " + %d*q^%s", iter(terms.values()), iter(terms)
+        if self.scale != 1:
+            exps = map(_fraction_text, exps, repeat(self.scale))
+        chunk = _chunk(fmt, coeffs, exps).replace("+ -", "- ")
+        chunk = chunk[3:] if chunk[1] == "+" else "-" + chunk[3:]
+        while chunk:
+            write(chunk)
+            chunk = _chunk(fmt, coeffs, exps).replace("+ -", "- ")
 
     def write_json(self, write: Write) -> None:
         """Compact JSON: {"scale":S,"terms":[[exponent,"coefficient"],...]}.
@@ -521,14 +544,12 @@ class ScaledLaurent(_Value):
         """
         terms = self._terms
         write(f'{head}"scale":{self.scale},"terms":[')
-        # one %-format per chunk over the flat exponent, coefficient run;
+        fmt, exps, coeffs = ',[%d,"%d"]', iter(terms), iter(terms.values())
         # every term carries its leading comma, cut from the first chunk
-        flat = chain.from_iterable(terms.items())
-        n = len(terms)
-        for start in range(0, n, CHUNK_TERMS):
-            k = min(CHUNK_TERMS, n - start)
-            chunk = (',[%d,"%d"]' * k) % tuple(islice(flat, 2 * k))
-            write(chunk if start else chunk[1:])
+        chunk = _chunk(fmt, exps, coeffs)[1:]
+        while chunk:
+            write(chunk)
+            chunk = _chunk(fmt, exps, coeffs)
         write("]}")
 
     def to_text(self) -> str:

@@ -6,7 +6,11 @@ matrix [[2/3, 1/3], [1/3, 2/3]] on (w1, w2); the simple roots are
 a1 = 2*w1 - w2 and a2 = -w1 + 2*w2.  Quantum dimensions and twists are
 ScaledLaurent values, each on the smallest lattice its exponents live on:
 quantum integers on the 1/2 lattice, twist powers theta^(num/den) on the
-1/(3*den) lattice.
+1/(3*den) lattice.  Quantum dimensions are in whole powers of q.
+qdim_closed is the torus-knot evaluator's sum of one weight, the Weyl
+alternant over its three checked stride divisions; qdim_weyl, the
+product of quantum integers over the positive roots with one long
+division, is the independent route that checks it.
 """
 
 from __future__ import annotations
@@ -104,17 +108,25 @@ def dimension(w: WeightLike) -> int:
 
 
 def qdim_closed(w: WeightLike) -> ScaledLaurent:
-    """Quantum dimension [m1+1][m2+1][m1+m2+2]/[2], an exact quotient."""
+    """Quantum dimension [m1+1][m2+1][m1+m2+2]/[2], an exact quotient.
+
+    It is the Rosso-Jones sum of the one weight w at b = 0 over the
+    trivial color, so the torus-knot evaluator builds it: the six-term
+    Weyl alternant {A}{B}{A+B}, with A = m1+1 and B = m2+1, divided by
+    {1}^2 {2} in three checked stride divisions.
+    """
+    from .jones import _rosso_jones  # jones imports this module
+
     m1, m2 = _as_dominant(w)
-    prod = qint(m1 + 1) * qint(m2 + 1) * qint(m1 + m2 + 2)
-    return prod.div_exact(qint(2))
+    return _rosso_jones({(m1, m2): 1}, 1, 0, Weight(0, 0))
 
 
 def qdim_weyl(w: WeightLike) -> ScaledLaurent:
     """Quantum dimension via the Weyl-form product over positive roots.
 
     Independent of qdim_closed: evaluates prod [(w+rho, a)] / prod [(rho, a)]
-    using the pairing, rather than the hardcoded three-factor formula.
+    using the pairing and the general long division, rather than the
+    Weyl alternant and the evaluator's stride divisions.
     """
     wt = _as_dominant(w)
     shifted = (wt.m1 + ROOT_DATA.rho[0], wt.m2 + ROOT_DATA.rho[1])

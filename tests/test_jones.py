@@ -18,7 +18,7 @@ from sl3jones.laurent import (InexactDivisionError, NonIntegralExponentError,
                               _DenseTerms)
 from sl3jones.plethysm2 import _psi2_row, psi2_closed
 from sl3jones.schur3 import psi_oracle
-from sl3jones.sl3rep import (SignedWeightSum, Weight, qdim_closed,
+from sl3jones.sl3rep import (SignedWeightSum, Weight, qdim_weyl,
                              twist_monomial)
 from test_laurent import ascends
 
@@ -29,14 +29,16 @@ def literal_sum(expansion, a, b, w):
     Slow reference: multiplies qdim(mu) by the twist power per term, each
     on the lattice it lives on, applies the color's twist and divides by
     qdim(w) with the general long division, sharing no code with the
-    stride division.  The value must come out on the integer lattice.
+    stride division: each qdim is qdim_weyl's product of quantum integers,
+    since qdim_closed is the evaluator's own sum.  The value must come out
+    on the integer lattice.
     """
     total = ScaledLaurent.zero()
     for mu, c in expansion.items():
-        term = qdim_closed(mu) * twist_monomial(mu, b, a)
+        term = qdim_weyl(mu) * twist_monomial(mu, b, a)
         total = total + term.scalar_mul(c)
     shifted = total * twist_monomial(w, -a * b)
-    value = shifted.div_exact(qdim_closed(w))
+    value = shifted.div_exact(qdim_weyl(w))
     assert value.scale == 1
     return value
 

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from sl3jones import cli
 from sl3jones.jones import (ColoredJonesResult, DegreeReport, TorusKnotSpec,
-                            degree_report, jones_rosso, jones_t2b)
+                            _degree_window, degree_report, jones_rosso,
+                            jones_t2b)
 from sl3jones.laurent import (CHUNK_TERMS, ScaledLaurent, _DenseTerms,
                               _fraction_text)
 from sl3jones.sl3rep import SignedWeightSum, Weight
@@ -262,6 +263,81 @@ def test_json_of_an_evaluator_value_matches_reference():
         assert "".join(js) == dumps(ref_result_dict(r))
         check_chunk_bound(chunks(r.write_text), js)
         assert len(js) == 2 + -(-r.value.term_count // CHUNK_TERMS)
+
+
+def test_dense_value_with_negative_first_coefficients():
+    # scale 1 and dense, over three chunks: the first term is negative
+    # both plain and mirrored, and so, in the plain value, is the first
+    # term of every later chunk, whose " + -" separator the replace must
+    # turn into " - "
+    rng = random.Random(20)
+    coeffs = [rng.choice([0, 1, -1, 7, -2**70, 2**70 + 3])
+              for _ in range(3 * CHUNK_TERMS)]
+    coeffs[0], coeffs[-1] = -5, -2**66
+    nonzero = [i for i, c in enumerate(coeffs) if c]
+    for k in (CHUNK_TERMS, 2 * CHUNK_TERMS):
+        coeffs[nonzero[k]] = -3
+    value = ScaledLaurent._trusted(1, _DenseTerms(-9, 1, coeffs))
+    assert CHUNK_TERMS * 2 < value.term_count < len(coeffs)
+    for f in (value, value.mirror()):
+        assert type(f._terms) is _DenseTerms
+        text = chunks(f.write_text)
+        assert text[0].startswith("-")
+        assert "".join(text) == ref_text(f)
+        assert "".join(chunks(f.write_json)) == dumps(ref_laurent_dict(f))
+    # the chunks after the first open on a negative term of this value
+    assert [c[:3] for c in chunks(value.write_text)] == ["-5*", " - ", " - "]
+
+
+def test_text_of_negative_fractional_exponents():
+    # every exponent negative and most fractional, beside negative
+    # coefficients: the "+ -" replace touches separators only
+    f = ScaledLaurent(2, {-6: 4, -5: -3, -3: 1, -1: -1, 1: -2})
+    assert f.to_text() == ref_text(f) == (
+        "4*q^-3 - 3*q^(-5/2) + 1*q^(-3/2) - 1*q^(-1/2) - 2*q^(1/2)")
+    g = ScaledLaurent(6, {-9: 1, -8: -2**70})
+    assert g.to_text() == ref_text(g) == (
+        f"1*q^(-3/2) - {2**70}*q^(-4/3)")
+    assert g.mirror().to_text() == ref_text(g.mirror())
+
+
+class NoCount(list):
+    """A coefficient list whose count method must never be called."""
+
+    def count(self, value):
+        raise AssertionError("count called on a dense coefficient list")
+
+
+def test_write_path_counts_no_zeros():
+    # the writers, truth and the degree window never count the zeros;
+    # the length alone counts them, and only when asked
+    coeffs = NoCount([-4, 0, 0, 9, 0, -1, 2**70, 0, 3])
+    dense = _DenseTerms(-7, 1, coeffs)
+    value = ScaledLaurent._trusted(1, dense)
+    ref = {-7 + i: c for i, c in enumerate(coeffs) if c}
+    assert "".join(chunks(value.write_text)) == ref_text(value)
+    assert "".join(chunks(value.write_json)) == dumps(ref_laurent_dict(value))
+    assert bool(dense) and bool(value)
+    assert _degree_window(dense) == (-7, 1, -4, 2**70)
+    rep = degree_report(ColoredJonesResult(value, TorusKnotSpec(2, 3),
+                                           Weight(0, 0)))
+    assert (rep.leading, rep.trailing) == (3, -4)
+    assert len(dense) == len(ref) == value.term_count == 5
+
+
+@settings(max_examples=200)
+@given(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2**70]), max_size=12),
+       st.integers(-20, 20), st.integers(1, 3))
+@example([], 0, 1)
+@example([0, 0, 0], -3, 1)
+@example([0, 5, 0, 0, -2, 0], 4, 2)
+def test_dense_truth_and_length_match_a_dict(coeffs, base, step):
+    # zero ends, interior zeros and all zeros
+    dense = _DenseTerms(base, step, coeffs)
+    ref = {base + i * step: c for i, c in enumerate(coeffs) if c}
+    assert bool(dense) == bool(ref)
+    assert len(dense) == len(ref)
+    assert list(dense.items()) == list(ref.items())
 
 
 def test_zero_polynomial_chunks():

@@ -86,9 +86,15 @@ def test_qdim_trivial_and_fundamental():
 
 
 def test_qdim_weyl_equals_closed():
+    # qdim_closed is the evaluator's dense value, qdim_weyl a dict: equal
+    # also in every form a caller sees
     for m1 in range(13):
         for m2 in range(13):
-            assert qdim_weyl((m1, m2)) == qdim_closed((m1, m2)), (m1, m2)
+            closed, weyl = qdim_closed((m1, m2)), qdim_weyl((m1, m2))
+            assert closed == weyl, (m1, m2)
+            assert hash(closed) == hash(weyl)
+            assert closed.to_text() == weyl.to_text()
+            assert closed.to_json() == weyl.to_json()
 
 
 @settings(max_examples=60)
