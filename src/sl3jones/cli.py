@@ -25,11 +25,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
-import json
 import os
 import sys
-import tempfile
 
 from . import __version__
 from .jones import (TorusKnotSpec, _degree_window, _rosso_jones, _t2b_diagonal,
@@ -50,14 +47,20 @@ _NOT_IN_KEY = frozenset({"func", "cache", "out", "jobs", "limit"})
 
 
 # -- caching ----------------------------------------------------------
+# hashlib, json and tempfile serve --cache requests only, so they are
+# imported there, not by every process
 
 
 def _cache_path(cdir: str, key: str) -> str:
+    import hashlib
+
     digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
     return os.path.join(cdir, digest + ".json")
 
 
 def _cache_lookup(cdir: str, key: str) -> str | None:
+    import json
+
     path = _cache_path(cdir, key)
     try:
         with open(path, encoding="utf-8") as f:
@@ -86,6 +89,9 @@ class _CacheEntry:
     """
 
     def __init__(self, cdir: str, key: str):
+        import json
+        import tempfile
+
         self.cdir, self.path = cdir, _cache_path(cdir, key)
         self.file = self.tmp = None
         try:
@@ -97,6 +103,8 @@ class _CacheEntry:
             self._fail(exc)
 
     def write(self, chunk: str) -> None:
+        import json
+
         if self.file is not None:
             try:
                 self.file.write(json.dumps(chunk)[1:-1])
@@ -453,7 +461,7 @@ def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process and reused by main."""
     parser = argparse.ArgumentParser(
         prog="sl3jones",
-        description="Exact sl3 colored invariants of torus knots T(2,b).")
+        description="Exact sl3 colored invariants of torus knots T(a,b).")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 

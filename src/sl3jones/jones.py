@@ -16,27 +16,29 @@ Weyl alternant: of its eight signed monomials, the two at the twist
 exponent itself cancel.  So each mu adds six signed monomials
 q^(t/(6a)) q^(+-A +-B), with t = 2b*twist3(mu), A = n1+1 and B = n2+1
 (_add_numerator).  The six share the class t mod 6a and lie whole
-powers of q apart, so the numerator (_Numerator) keeps one dense list
-per class, in whole powers of q, with its offset and the range in use:
-a term is a list add, with no exponent dict, key scan or gcd.  Every
-route feeds weights of one class (the tests check each): the psi2 rows
-of T(2, b), whose weights all have an even coordinate and the triality
-class of the diagonal, so that t mod 12 is fixed; the Adams images a*nu
-of jones_rosso; and the straightened weights of the schur3 oracle.
-A weight of another class gets its own list and ends in the errors
-below.  Each weight's index span is checked against its list before
-the adds, and the list grows to hold it, since a negative index would
-wrap round silently.  _evaluate divides each list by the three factors
+powers of q apart, and every route feeds weights of one class.  For an
+Adams image mu = a*nu, t = 2b*a^2*(nu1 - nu2)^2 mod 6a, and nu1 - nu2
+is nu1 + 2*nu2 mod 3, the triality of the color; straightening moves a
+weight by the dot action, which keeps twist3; so the Adams images of
+jones_rosso, the straightened weights of the schur3 oracle and the psi2
+rows of T(2, b) each lie in one class (the tests check each).  The
+numerator (_Numerator) is therefore one dense list, in whole powers of
+q, with its class, its offset and the range in use: a term is a list
+add, with no exponent dict, key scan or gcd.  A weight off the walls
+in a second class raises NonIntegralExponentError as it is added.
+Each weight's index span is checked against the list before the adds,
+and the list grows to hold it, since a negative index would wrap round
+silently.  _evaluate divides the list by the three factors
 {n} = -q^(-n/2) (1 - q^n) of qdim(w).  Dividing by 1 - q^n is a plain
 prefix sum along stride n of the list, and the sign (-1)^3 of the three
 factors is folded into the numerator's signs; each division must leave a
-zero remainder, and one class must survive and land on whole powers of
-q.  A numerator whose terms all cancel is the zero polynomial.  The
-result is built once, on the dense list: its nonzero entries, in
-ascending order, are the value's term map through a _DenseTerms view,
-with no second check, copy or dict.  _evaluate uses its numerator up,
-and every route ends in it: _rosso_jones is _add_numerator then
-_evaluate.  For T(2, b), row l of psi2(m1, m2) is row 0 of
+zero remainder, and the color's twist must take the class onto whole
+powers of q.  A numerator whose terms all cancel is the zero
+polynomial.  The result is built once, on the dense list: its nonzero
+entries, in ascending order, are the value's term map through a
+_DenseTerms view, with no second check, copy or dict.  _evaluate uses
+its numerator up, and every route ends in it: _rosso_jones is
+_add_numerator then _evaluate.  For T(2, b), row l of psi2(m1, m2) is row 0 of
 (m1 - l, m2 - l), so psi2(j, j + d) is psi2(j - 1, j + d - 1) plus the
 row _psi2_row(j, j + d), and the numerator is linear in psi2:
 _t2b_numerators grows one numerator by a row per color along the
@@ -188,18 +190,23 @@ def _div_stride(dense: list[int], stride: int) -> None:
     del dense[-stride:]
 
 
-class _ClassList:
-    """The numerator terms of one exponent class, in whole powers of q.
+class _Numerator:
+    """A Rosso-Jones numerator: the terms of one exponent class.
 
-    The class is an r with 0 <= r < 6a, and coeffs[i] is the coefficient
-    of q^(off + i + r/(6a)).  The whole powers lo..hi are the range in
-    use, empty while lo > hi; every entry outside it is zero.
+    The class is r, with 0 <= r < 6a, or None while no term is in; and
+    coeffs[i] is the coefficient of q^(off + i + r/(6a)), in whole powers
+    of q.  The whole powers lo..hi are the range in use, empty while
+    lo > hi; every entry outside it is zero.  span is None, or the
+    (lowest, highest) whole power of q that any term will take: the list
+    is then allocated over it, and does not grow while the span holds.
     """
 
-    __slots__ = ("off", "coeffs", "lo", "hi")
+    __slots__ = ("r", "off", "coeffs", "lo", "hi")
 
-    def __init__(self, off: int, coeffs: list[int], lo: int, hi: int):
-        self.off, self.coeffs, self.lo, self.hi = off, coeffs, lo, hi
+    def __init__(self, span: tuple[int, int] | None = None):
+        lo, hi = span or (0, -1)
+        self.r, self.off, self.coeffs = None, lo, [0] * (hi - lo + 1)
+        self.lo, self.hi = hi + 1, lo - 1  # nothing in use yet
 
     def fit(self, lo: int, hi: int) -> None:
         """Grow the list to cover the whole powers lo..hi."""
@@ -222,39 +229,13 @@ class _ClassList:
             lo += 1
         return lo - off, hi - off + 1
 
-
-class _Numerator:
-    """A Rosso-Jones numerator: exponent class -> _ClassList.
-
-    span is None, or the (lowest, highest) whole power of q that any
-    term will take: each class list is then allocated over it at the
-    class's first term, and does not grow while the span holds.
-    """
-
-    __slots__ = ("classes", "span")
-
-    def __init__(self, span: tuple[int, int] | None = None):
-        self.classes: dict[int, _ClassList] = {}
-        self.span = span
-
-    def _class(self, r: int, e: int) -> _ClassList:
-        """The list of class r, made when its first term is at q^e."""
-        row = self.classes.get(r)
-        if row is None:
-            lo, hi = self.span or (e, e)
-            # nothing in use yet: the range is empty
-            row = self.classes[r] = _ClassList(
-                lo, [0] * (hi - lo + 1), hi + 1, lo - 1)
-        return row
-
     def copy(self) -> "_Numerator":
         """The terms in use, copied: evaluating the copy leaves self as is."""
+        i, j = self.used()
         new = _Numerator()
-        for r, row in self.classes.items():
-            i, j = row.used()
-            lo = row.off + i
-            new.classes[r] = _ClassList(lo, row.coeffs[i:j], lo,
-                                        lo + j - i - 1)
+        new.r, new.coeffs = self.r, self.coeffs[i:j]
+        new.off = new.lo = self.off + i
+        new.hi = new.lo + j - i - 1
         return new
 
 
@@ -268,30 +249,36 @@ def _add_numerator(acc: _Numerator,
     theta(mu)^(b/a) is anti-invariant under the Weyl group acting on
     mu + rho, so a weight on a wall (n1 = -1, n2 = -1 or n1 + n2 = -2)
     adds nothing, and the other weights need not be straightened to
-    dominant ones.
+    dominant ones.  A weight off the walls whose exponent class is not
+    the numerator's raises NonIntegralExponentError: no route makes one.
     """
     scale, tb = 6 * a, 2 * b
-    r = row = None
+    r, off, coeffs, lo, hi = acc.r, acc.off, acc.coeffs, acc.lo, acc.hi
     # The sum is order-free, so the terms are taken unsorted.  Each mu
     # adds -{A}{B}{A+B} q^(t/scale) with A = n1+1, B = n2+1 and
     # t = 2b * twist3(mu) = scale*e + k: six monomials of class k, at the
     # whole powers e +- A +- B.  The minus is the sign of the three
-    # divisors.  The lists are loaded into locals once per class run.
+    # divisors.
     for (n1, n2), c in weights:
         e, k = divmod(tb * (n1 * (n1 + n2 + 3) + n2 * (n2 + 3)), scale)
-        if k != r:
-            if row is not None:
-                row.lo, row.hi = lo, hi
-            r, row = k, acc._class(k, e)
-            off, coeffs, lo, hi = row.off, row.coeffs, row.lo, row.hi
         A, B = n1 + 1, n2 + 1
+        if k != r:
+            if not (A and B and A + B):
+                continue  # a wall weight adds nothing in any class
+            if r is not None:
+                raise NonIntegralExponentError(
+                    f"weight {(n1, n2)} is in exponent class {k}/{scale} "
+                    f"of T({a},{b}), the numerator's is {r}/{scale}")
+            r = acc.r = k
+            if not coeffs:  # an unsized list starts at the first term
+                off = lo = hi = acc.off = e
         s = abs(A) + abs(B)
         # the index guard: a negative index would wrap round silently
         if e - s < lo or e + s > hi:
             lo, hi = min(lo, e - s), max(hi, e + s)
             if lo < off or hi >= off + len(coeffs):
-                row.fit(lo, hi)
-                off = row.off
+                acc.fit(lo, hi)
+                off = acc.off
         i = e - off
         coeffs[i + A + B] -= c
         coeffs[i + A] += c
@@ -299,45 +286,38 @@ def _add_numerator(acc: _Numerator,
         coeffs[i - A] -= c
         coeffs[i - B] -= c
         coeffs[i - A - B] += c
-    if row is not None:
-        row.lo, row.hi = lo, hi
+    acc.lo, acc.hi = lo, hi
 
 
 def _evaluate(acc: _Numerator, a: int, b: int,
               color: Weight) -> ScaledLaurent:
     """The invariant of T(a, b) at color from its numerator acc.
 
-    acc is a numerator that _add_numerator built.  Its lists become the
+    acc is a numerator that _add_numerator built.  Its list becomes the
     result's, so acc is used up: a caller that adds more terms afterwards
     evaluates acc.copy() instead.  color was checked dominant by the
     caller, so the twists take the unchecked form.
     """
-    scale = 6 * a
-    m1, m2 = color
-    ns = (m1 + 1, m2 + 1, m1 + m2 + 2)
-    found = []
-    for r, row in acc.classes.items():
-        i, j = row.used()
-        dense = row.coeffs
-        del dense[j:], dense[:i]
-        if dense:
-            for n in ns:
-                _div_stride(dense, n)
-            found.append((r, row.off + i, dense))
-    if not found:
+    i, j = acc.used()
+    dense = acc.coeffs
+    del dense[j:], dense[:i]
+    if not dense:
         return ScaledLaurent.zero()  # every term cancelled
-    # The divisors are polynomials in q, so each class stays apart: the
-    # result is integral exactly when one class survives and the color's
-    # twist theta(w)^(-ab) takes it onto whole powers.  The three
-    # divisors' q^(-n/2) add m1 + m2 + 2 to every power.
-    (r, lo, dense), *more = found
-    shift = r - 2 * a * a * b * _twist3(m1, m2)
-    if more or shift % scale:
+    m1, m2 = color
+    for n in (m1 + 1, m2 + 1, m1 + m2 + 2):
+        _div_stride(dense, n)
+    # The divisors are polynomials in q, so the class stays: the result
+    # is integral exactly when the color's twist theta(w)^(-ab) takes it
+    # onto whole powers.  The three divisors' q^(-n/2) add m1 + m2 + 2
+    # to every power.
+    scale = 6 * a
+    shift = acc.r - 2 * a * a * b * _twist3(m1, m2)
+    if shift % scale:
         raise NonIntegralExponentError(
             f"T({a},{b}) at color {tuple(color)} has fractional exponents")
     # scale 1, ascending int exponents, the zero entries left out
     return ScaledLaurent._trusted(
-        1, _DenseTerms(lo + m1 + m2 + 2 + shift // scale, 1, dense))
+        1, _DenseTerms(acc.off + i + m1 + m2 + 2 + shift // scale, dense))
 
 
 def _rosso_jones(weights: Mapping[tuple[int, int], int], a: int, b: int,

@@ -177,18 +177,19 @@ def _fraction_text(e: int, scale: int) -> str:
 class _DenseTerms(Mapping):
     """Read-only ascending term map over a dense coefficient list.
 
-    The exponent base + i*step, for step >= 1, maps to coeffs[i]; a zero
-    entry of coeffs is no term.  Iteration runs over the nonzero entries
-    with compress, lookups are index arithmetic, and nothing is copied, so
-    the caller must not change coeffs afterwards.  The length is counted
+    The exponent base + i maps to coeffs[i], in whole powers, as the
+    evaluator's one exponent class always lands; a zero entry of coeffs
+    is no term.  Iteration runs over the nonzero entries with compress,
+    lookups are index arithmetic, and nothing is copied, so the caller
+    must not change coeffs afterwards.  The length is counted
     when asked, since no writer needs it, and truth is any(coeffs), which
     stops at the first term.  A pickle or copy is a plain dict.
     """
 
     __slots__ = ("_keys", "_coeffs")
 
-    def __init__(self, base: int, step: int, coeffs: list[int]):
-        self._keys = range(base, base + step * len(coeffs), step)
+    def __init__(self, base: int, coeffs: list[int]):
+        self._keys = range(base, base + len(coeffs))
         self._coeffs = coeffs
 
     def __iter__(self) -> Iterator[int]:
@@ -228,7 +229,7 @@ class _DenseTerms(Mapping):
         keys = self._keys
         if not keys:
             return self
-        return _DenseTerms(-keys[-1], keys.step, self._coeffs[::-1])
+        return _DenseTerms(-keys[-1], self._coeffs[::-1])
 
     def items(self) -> "_DenseItems":
         return _DenseItems(self)

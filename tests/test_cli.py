@@ -243,9 +243,10 @@ def test_closed_stdout_exits_quietly():
 
 
 def test_import_loads_no_heavy_stdlib_module():
-    # every CLI call is a fresh process that pays for its imports; these
-    # four (dataclasses pulls in inspect, fractions pulls in decimal) cost
-    # about half of the package's import time and are needed by no request
+    # every CLI call is a fresh process that pays for its imports; the
+    # first four (dataclasses pulls in inspect, fractions pulls in
+    # decimal) cost about half of the package's import time and are
+    # needed by no request, and hashlib and json serve --cache only
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     probe = ("import sys; bare = set(sys.modules); import sl3jones.cli; "
              "sl3jones.cli._build_parser(); "
@@ -255,7 +256,8 @@ def test_import_loads_no_heavy_stdlib_module():
                           env={**os.environ, "PYTHONPATH": src})
     added = set(proc.stdout.split())
     assert "sl3jones.cli" in added and "argparse" in added
-    assert not added & {"dataclasses", "inspect", "fractions", "decimal"}
+    assert not added & {"dataclasses", "inspect", "fractions", "decimal",
+                        "hashlib", "json"}
 
 
 def test_usage_error_out_missing_directory(tmp_path, capsys):

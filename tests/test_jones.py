@@ -194,12 +194,17 @@ def test_rosso_matches_literal_assembly():
 def test_extra_trivial_summand_is_inexact(m1, m2, half_b):
     # adding V_{0,0} adds theta(w)^(-2b) / qdim(w), which is no Laurent
     # polynomial for w != (0, 0): the evaluator must refuse, not round
-    w = Weight(m1, m2)
+    b, w = 2 * half_b + 1, Weight(m1, m2)
     assume(w != (0, 0))
     bad = dict(psi2_closed(w)._terms)
     bad[(0, 0)] = bad.get((0, 0), 0) + 1
-    with pytest.raises(InexactDivisionError):
-        _rosso_jones(bad, 2, 2 * half_b + 1, w)
+    # V_{0,0} lies in class 0, the diagonal's class 8b(m1 - m2)^2 mod 12
+    # when 3 divides b(m1 - m2); in any other class it is refused as it
+    # is added
+    error = (InexactDivisionError if b * (m1 - m2) % 3 == 0
+             else NonIntegralExponentError)
+    with pytest.raises(error):
+        _rosso_jones(bad, 2, b, w)
 
 
 def test_extra_trivial_summand_is_inexact_for_oracle():
@@ -222,14 +227,27 @@ def test_fractional_exponents_raise():
 def test_two_exponent_classes_raise():
     # at color (0, 0) every weight's term divides exactly; (0, 0) and
     # (1, 0) lie in classes 0 and 8 of the 1/12 lattice for T(2, 1), so
-    # the first alone is integral, the two together are not
+    # the first alone is integral, and adding the second raises
     w = Weight(0, 0)
     assert _rosso_jones({(0, 0): 1}, 2, 1, w) == ScaledLaurent.one()
     acc = _Numerator()
-    _add_numerator(acc, [((0, 0), 1), ((1, 0), 1)], 2, 1)
-    assert sorted(acc.classes) == [0, 8]
+    with pytest.raises(NonIntegralExponentError,
+                       match=r"\(1, 0\) is in exponent class 8/12 .* 0/12"):
+        _add_numerator(acc, [((0, 0), 1), ((1, 0), 1)], 2, 1)
+    assert acc.r == 0
+
+
+@pytest.mark.parametrize("weights", [
+    [((0, 0), 1), ((1, 0), 1), ((-3, 2), 1)],
+    [((1, 0), 1), ((0, 0), 1), ((-3, 2), 1)],
+    [((1, 0), 1), ((-3, 2), 1), ((0, 0), 1)],
+])
+def test_a_second_class_raises_though_it_would_cancel(weights):
+    # (-3, 2) is (1, 0) reflected by s1, so their terms cancel and only
+    # the class of (0, 0) would be left; the second class still raises,
+    # in whichever order the weights come
     with pytest.raises(NonIntegralExponentError):
-        _evaluate(acc, 2, 1, w)
+        _rosso_jones(dict(weights), 2, 1, Weight(0, 0))
 
 
 @settings(max_examples=120)
@@ -398,12 +416,9 @@ def test_diagonal_chain_validates_its_arguments():
 
 
 def in_use(acc):
-    """Each class's lowest whole power and coefficients in use, trimmed."""
-    out = {}
-    for r, row in acc.classes.items():
-        i, j = row.used()
-        out[r] = (row.off + i, row.coeffs[i:j])
-    return out
+    """The class, lowest whole power and coefficients in use, trimmed."""
+    i, j = acc.used()
+    return acc.r, acc.off + i, acc.coeffs[i:j]
 
 
 @settings(max_examples=40, deadline=None)
@@ -433,36 +448,45 @@ def test_evaluation_leaves_the_numerator_unchanged(b, d, evaluated):
 # -- the numerator's lists -------------------------------------------------
 
 
-def class_counts(monkeypatch):
-    """The class count of each numerator after each _add_numerator call."""
-    counts = []
+def added_classes(monkeypatch):
+    """The class of each numerator after each _add_numerator call."""
+    classes = []
     add = jones._add_numerator
 
-    def counting(acc, weights, a, b):
+    def recording(acc, weights, a, b):
         add(acc, weights, a, b)
-        counts.append(len(acc.classes))
+        classes.append(acc.r)
 
-    monkeypatch.setattr(jones, "_add_numerator", counting)
-    return counts
+    monkeypatch.setattr(jones, "_add_numerator", recording)
+    return classes
+
+
+def adams_class(a, b, m1, m2):
+    """2b*twist3(a*nu) mod 6a, the same for every weight nu of V_(m1,m2)."""
+    return 2 * b * a * a * (m1 - m2) ** 2 % (6 * a)
 
 
 def test_t2b_rows_fill_one_class(monkeypatch):
-    counts = class_counts(monkeypatch)
+    classes = added_classes(monkeypatch)
+    want = []
     for b in range(1, 52, 2):
         for top in edge_tops(12):
             for w, acc in jones._t2b_numerators(b, top):
-                pass
-    # one call per cell of each diagonal, and every numerator one class
-    assert len(counts) == 26 * 13 * 13 and set(counts) == {1}
+                want.append(adams_class(2, b, *w))
+    # one call per cell of each diagonal, and every numerator in the
+    # class of the color's Adams images
+    assert len(classes) == 26 * 13 * 13 and classes == want
 
 
 def test_adams_weights_fill_one_class(monkeypatch):
-    counts = class_counts(monkeypatch)
+    classes = added_classes(monkeypatch)
+    want = []
     for a, b in ((3, 4), (4, 5), (5, 3)):
         for m1 in range(7):
             for m2 in range(7):
                 jones_rosso(TorusKnotSpec(a, b), (m1, m2))
-    assert len(counts) == 3 * 49 and set(counts) == {1}
+                want.append(adams_class(a, b, m1, m2))
+    assert len(classes) == 3 * 49 and classes == want
 
 
 def test_oracle_weights_fill_one_class():
@@ -472,7 +496,7 @@ def test_oracle_weights_fill_one_class():
                 acc = _Numerator()
                 _add_numerator(acc, psi_oracle((m1, m2), a)._terms.items(),
                                a, b)
-                assert len(acc.classes) == 1, (a, b, m1, m2)
+                assert acc.r == adams_class(a, b, m1, m2), (a, b, m1, m2)
 
 
 @pytest.mark.parametrize("b, mx", [(1, 14), (3, 8), (201, 8)])
@@ -482,10 +506,9 @@ def test_t2b_span_holds_along_every_diagonal(b, mx):
     for top in edge_tops(mx):
         lo, hi = _t2b_span(b, *top)
         for w, acc in jones._t2b_numerators(b, top):
-            (row,) = acc.classes.values()
-            assert (row.off, len(row.coeffs)) == (lo, hi - lo + 1)
-            assert lo <= row.lo and row.hi <= hi
-        assert row.hi == hi, (b, top)
+            assert (acc.off, len(acc.coeffs)) == (lo, hi - lo + 1)
+            assert lo <= acc.lo and acc.hi <= hi
+        assert acc.hi == hi, (b, top)
 
 
 def test_a_numerator_grows_both_ways():
@@ -496,12 +519,16 @@ def test_a_numerator_grows_both_ways():
     weights = sorted(psi2_closed(w)._terms.items(),
                      key=lambda wc: abs(sum(wc[0]) - 12))
     span = _t2b_span(b, *w)
+    # an unsized list is allocated at its first weight's terms, with no
+    # zero end
+    first = _Numerator()
+    _add_numerator(first, weights[:1], 2, b)
+    assert first.used() == (0, len(first.coeffs))
     sized = _Numerator(span)
     _add_numerator(sized, weights, 2, b)
     for acc in (_Numerator(), _Numerator((20, 21))):
         _add_numerator(acc, weights, 2, b)
-        (row,) = acc.classes.values()
-        assert row.off < 0 and row.off + len(row.coeffs) > span[1]
+        assert acc.off < 0 and acc.off + len(acc.coeffs) > span[1]
         assert in_use(acc) == in_use(sized)
         assert _evaluate(acc, 2, b, w) == jones_t2b(b, w).value
 
