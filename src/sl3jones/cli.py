@@ -517,8 +517,16 @@ def main(argv=None) -> int:
             return _cmd_selfcheck(args)
         return _emit(args, _with_cache(
             args, lambda: _writer(args, args.func(args))))
-    # NotSymmetricError is a ValueError, so this clause comes first: a
-    # character that fails the symmetry check is a fault, not a usage error
+    # OverflowError is an ArithmeticError, so this clause comes before the
+    # next: a list longer than an index can hold, or than memory, is the
+    # request's size, not a fault
+    except (MemoryError, OverflowError) as exc:
+        detail = str(exc) or "out of memory"
+        print(f"usage error: request too large ({detail})", file=sys.stderr)
+        return 2
+    # NotSymmetricError is a ValueError, so this clause comes before that
+    # one: a character that fails the symmetry check is a fault, not a
+    # usage error
     except (LaurentError, ArithmeticError, NotSymmetricError) as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)
         return 3

@@ -425,12 +425,22 @@ def _degree_window(terms: Mapping[int, int]) -> tuple[int, int, int, int]:
     """(min_deg, max_deg, min_coeff, max_coeff) of a nonempty term map.
 
     The map ascends (the normal form), so the degrees are its first and
-    last keys; no list of exponents is built.
+    last keys; no list of exponents is built.  For the evaluator's dense
+    map the extremes are taken over the raw coefficient list, zeros
+    included, in one C pass each.  A zero entry moves neither extreme
+    unless every term has the other sign: a negative min or a positive
+    max is some term's coefficient.  So only an extreme that comes out
+    exactly 0 is taken again, over the terms alone.
     """
     if not terms:
         raise UndefinedDegreeError("degree report of the zero polynomial")
-    return (next(iter(terms)), next(reversed(terms)),
-            min(terms.values()), max(terms.values()))
+    if type(terms) is _DenseTerms:
+        coeffs = terms._coeffs
+        lo_c = min(coeffs) or min(terms.values())
+        hi_c = max(coeffs) or max(terms.values())
+    else:
+        lo_c, hi_c = min(terms.values()), max(terms.values())
+    return next(iter(terms)), next(reversed(terms)), lo_c, hi_c
 
 
 def degree_report(result: ColoredJonesResult) -> DegreeReport:

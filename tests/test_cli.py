@@ -226,6 +226,25 @@ def test_usage_error_twist_bad_denominator(capsys):
     assert "usage error" in err
 
 
+# Each numerator list is longer than CPython will allocate: n > sys.maxsize,
+# or 8n > sys.maxsize, which list repetition refuses before any malloc.
+# A size below that, such as b = 10**11 + 1, would really try to allocate.
+@pytest.mark.parametrize("argv, detail", [
+    ("jones --b 1000000000000001 --m1 40 --m2 40", "out of memory"),
+    ("jones --a 2000000000000000001 --b 1 --m1 1 --m2 0", "out of memory"),
+    ("jones --b 1000000000000000001 --m1 40 --m2 40", "index-sized integer"),
+])
+def test_oversized_request_is_a_usage_error(capsys, monkeypatch, argv,
+                                            detail):
+    # MemoryError, and OverflowError although it is an ArithmeticError,
+    # are the request's size, not an internal fault
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: request too large (")
+    assert detail in err and "Traceback" not in err
+
+
 def test_closed_stdout_exits_quietly():
     # more output than a pipe buffer holds (64 KiB), so the writer is
     # still writing when the reader goes away, as with `| head -c 10`

@@ -338,6 +338,13 @@ def test_dense_truth_and_length_match_a_dict(coeffs, base):
     assert bool(dense) == bool(ref)
     assert len(dense) == len(ref)
     assert list(dense.items()) == list(ref.items())
+    # the window reads min and max over the list, zeros included, and
+    # falls back to the terms for an extreme of exactly 0: all-positive
+    # and all-negative lists, and the mirrored map with its ends reversed
+    if ref:
+        assert _degree_window(dense) == _degree_window(ref)
+        mirrored = {-e: c for e, c in reversed(ref.items())}
+        assert _degree_window(dense.mirrored()) == _degree_window(mirrored)
 
 
 def test_zero_polynomial_chunks():
