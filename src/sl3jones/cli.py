@@ -178,15 +178,17 @@ def _enforce_limit(args) -> None:
     """Reject out-of-range options before any work.
 
     --limit must be at least 0, --m1, --m2 and --max lie in 0..--limit
-    (100 without one), and --jobs must be at least 1.
+    (100 without one), --a lies in 1..--limit, and --jobs must be at
+    least 1.  The a >= 3 numerator spans the exponents of the Adams
+    images, which grow with a, so --a is bounded like the colors.
     """
     limit = getattr(args, "limit", 100)
     if limit < 0:
         raise ValueError(f"--limit {limit} is negative")
-    for name in ("m1", "m2", "max"):
+    for name, least in (("a", 1), ("m1", 0), ("m2", 0), ("max", 0)):
         v = getattr(args, name, None)
-        if v is not None and not 0 <= v <= limit:
-            raise ValueError(f"--{name} {v} lies outside 0..{limit}"
+        if v is not None and not least <= v <= limit:
+            raise ValueError(f"--{name} {v} lies outside {least}..{limit}"
                              + (" (see --limit)" if "limit" in args else ""))
     if getattr(args, "jobs", 1) < 1:
         raise ValueError("--jobs must be at least 1")

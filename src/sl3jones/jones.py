@@ -33,8 +33,11 @@ silently.  _evaluate divides the list by the three factors
 prefix sum along stride n of the list, and the sign (-1)^3 of the three
 factors is folded into the numerator's signs; each division must leave a
 zero remainder, and the color's twist must take the class onto whole
-powers of q.  A numerator whose terms all cancel is the zero
-polynomial.  The result is built once, on the dense list: its nonzero
+powers of q.  For a self-dual color, m1 = m2, the strides are A, A and
+2A: (1 - q^A)^2 is divided in one pass of two prefix sums, and one
+check of the top 2A entries proves its remainder zero as two checked
+passes would (_div_stride).  A numerator whose terms all cancel is the
+zero polynomial.  The result is built once, on the dense list: its nonzero
 entries, in ascending order, are the value's term map through a
 _DenseTerms view, with no second check, copy or dict.  _evaluate uses
 its numerator up, and every route ends in it: _rosso_jones is
@@ -43,9 +46,15 @@ _add_numerator then _evaluate.  For T(2, b), row l of psi2(m1, m2) is row 0 of
 row _psi2_row(j, j + d), and the numerator is linear in psi2:
 _t2b_numerators grows one numerator by a row per color along the
 diagonal (j, j + d), its list sized once from the diagonal's top color
-(_t2b_span).  jones_t2b evaluates it in place, once, at the diagonal's
-end, and _t2b_diagonal, which the table uses, evaluates a copy of its
-range in use at every color.  No route builds the plethysm as a
+(_t2b_span).  On a self-dual diagonal, (j, j), each row is self-dual
+and mirror-symmetric: its two arms are mirror images with equal signs,
+and a weight's six terms do not change under (n1, n2) -> (n2, n1),
+since twist3 is symmetric and swapping A and B swaps two pairs of terms
+of equal sign.  So the row is added folded, its centre once and its
+first arm with doubled signs, 1 + j weights instead of 1 + 2j, and the
+numerator is the same list.  jones_t2b evaluates it in place, once, at
+the diagonal's end, and _t2b_diagonal, which the table uses, evaluates
+a copy of its range in use at every color.  No route builds the plethysm as a
 SignedWeightSum: psi2_closed serves the plethysm command and the checks
 that compare it with psi2_schur_form, the schur3 oracle and the literal
 sums.
@@ -181,13 +190,30 @@ class DegreeReport(NamedTuple):
         write(self.to_json())
 
 
-def _div_stride(dense: list[int], stride: int) -> None:
-    """Divide dense coefficients in x, in place, by 1 - x^stride."""
-    for r in range(stride):
-        dense[r::stride] = accumulate(dense[r::stride])
-    if any(dense[-stride:]):
-        raise InexactDivisionError(f"nonzero remainder modulo 1 - x^{stride}")
-    del dense[-stride:]
+def _div_stride(dense: list[int], stride: int, twice: bool = False) -> None:
+    """Divide dense coefficients in x, in place, by 1 - x^stride.
+
+    With twice, divide by (1 - x^stride)^2 in one pass per residue: a
+    prefix sum of the prefix sum.  Either way the quotient is taken as a
+    power series over the list's length L, and the division is exact
+    exactly when the top d entries are zero, with d the divisor's
+    degree: if S = N / D mod x^L and deg S < L - d, then S * D has degree
+    below L and agrees with N mod x^L, so S * D = N; and the exact
+    quotient has degree deg N - d < L - d.  So one check of the top
+    2*stride entries proves what two checked passes would, and the
+    entries below them are the same.
+    """
+    if twice:  # tested once here, not once per residue
+        for r in range(stride):
+            dense[r::stride] = accumulate(accumulate(dense[r::stride]))
+    else:
+        for r in range(stride):
+            dense[r::stride] = accumulate(dense[r::stride])
+    top = 2 * stride if twice else stride
+    if any(dense[-top:]):
+        divisor = f"(1 - x^{stride})^2" if twice else f"1 - x^{stride}"
+        raise InexactDivisionError(f"nonzero remainder modulo {divisor}")
+    del dense[-top:]
 
 
 class _Numerator:
@@ -296,7 +322,12 @@ def _evaluate(acc: _Numerator, a: int, b: int,
     acc is a numerator that _add_numerator built.  Its list becomes the
     result's, so acc is used up: a caller that adds more terms afterwards
     evaluates acc.copy() instead.  color was checked dominant by the
-    caller, so the twists take the unchecked form.
+    caller, so the twists take the unchecked form.  The three divisions
+    are exact together exactly when the product divides the list, and
+    the exact quotient is unique, so their order and grouping leave the
+    result as it is: a self-dual color's strides A, A, 2A are taken as
+    one pass by (1 - q^A)^2 and one by 1 - q^(2A), with the test made
+    once per color, not once per residue.
     """
     i, j = acc.used()
     dense = acc.coeffs
@@ -304,8 +335,12 @@ def _evaluate(acc: _Numerator, a: int, b: int,
     if not dense:
         return ScaledLaurent.zero()  # every term cancelled
     m1, m2 = color
-    for n in (m1 + 1, m2 + 1, m1 + m2 + 2):
-        _div_stride(dense, n)
+    if m1 == m2:  # the strides A, A, 2A: the first two in one pass
+        _div_stride(dense, m1 + 1, twice=True)
+        _div_stride(dense, 2 * m1 + 2)
+    else:
+        for n in (m1 + 1, m2 + 1, m1 + m2 + 2):
+            _div_stride(dense, n)
     # The divisors are polynomials in q, so the class stays: the result
     # is integral exactly when the color's twist theta(w)^(-ab) takes it
     # onto whole powers.  The three divisors' q^(-n/2) add m1 + m2 + 2
@@ -377,15 +412,21 @@ def _t2b_numerators(
     l of psi2(m1, m2) is _psi2_row(m1 - l, m2 - l), so psi2 of each color
     is psi2 of the one before plus one row, and the Rosso-Jones numerator
     is linear in psi2: one numerator grows by a row per color.  This is
-    the one place the rows are summed.  Its list is sized once, over
-    _t2b_span of color.  The same numerator is yielded each time, so a
-    caller evaluates a copy of it before asking for the next color.
+    the one place the rows are summed.  A diagonal's rows are all
+    self-dual exactly when color is, m1 = m2, so that is decided once:
+    its rows are then added folded (_psi2_row with fold), each the centre
+    and the first arm with doubled signs, as the mirror leaves every
+    weight's six terms unchanged; the numerator is the one the full rows
+    give.  Its list is sized once, over _t2b_span of color.  The same
+    numerator is yielded each time, so a caller evaluates a copy of it
+    before asking for the next color.
     """
     m1, m2 = _as_dominant(color)
     acc = _Numerator(_t2b_span(b, m1, m2))
+    fold = m1 == m2  # then every row of the diagonal is self-dual
     for l in range(min(m1, m2), -1, -1):
         w = Weight(m1 - l, m2 - l)
-        _add_numerator(acc, _psi2_row(*w), 2, b)
+        _add_numerator(acc, _psi2_row(*w, fold), 2, b)
         yield w, acc
 
 

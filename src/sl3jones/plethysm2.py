@@ -9,7 +9,8 @@ for (m1 - l, m2 - l), so the rows are written once, in _psi2_row, and
 psi2(m1, m2) = psi2(m1 - 1, m2 - 1) + _psi2_row(m1, m2): psi2_closed
 sums the rows of one color, and the invariant's evaluator adds the rows
 straight into its numerator, one per step along a diagonal, with no
-merged expansion.  psi2_schur_form is the same expansion written
+merged expansion; on a self-dual diagonal it takes each row folded onto
+half of itself.  psi2_schur_form is the same expansion written
 against two-row Schur indices; it is coded independently so the two can
 be cross-checked term by term, and the schur3 Adams-decompose oracle
 gives a third route.
@@ -30,7 +31,8 @@ __all__ = [
 ]
 
 
-def _psi2_row(m1: int, m2: int) -> Iterator[tuple[tuple[int, int], int]]:
+def _psi2_row(m1: int, m2: int,
+              fold: bool = False) -> Iterator[tuple[tuple[int, int], int]]:
     """Row l = 0 of the three sums for V_(m1, m2), its summands combined.
 
     The k = 0 summands of the first two sums are both (2*m1, 2*m2) and
@@ -40,6 +42,16 @@ def _psi2_row(m1: int, m2: int) -> Iterator[tuple[tuple[int, int], int]]:
     of (m1, m2) is row 0 of (m1 - l, m2 - l), so this is the one place
     the rows are written.  Returns the ((n1, n2), sign) pairs, each
     weight once, as plain tuples; the dominance check runs at the call.
+
+    fold is for a self-dual row, m1 = m2 = p, and the caller checks it.
+    There the second sum's summand k is the first's mirrored, (n1, n2)
+    -> (n2, n1), with the same sign (-1)^k, so the folded row is the
+    centre once and the first sum with its signs doubled, 1 + p pairs
+    instead of 1 + 2p.  It is no longer the row as a weight sum, but it
+    has the same Rosso-Jones numerator, since each weight's six terms
+    are unchanged by the mirror: twist3 is symmetric in n1 and n2, and
+    swapping A = n1 + 1 and B = n2 + 1 swaps two pairs of terms of equal
+    sign.
     """
     x, y = 2 * m1, 2 * m2
     # each sum's coordinates are linear in k, so all its summands are
@@ -48,10 +60,12 @@ def _psi2_row(m1: int, m2: int) -> Iterator[tuple[tuple[int, int], int]]:
         if n1 < 0 or n2 < 0:
             raise ArithmeticError(
                 f"non-dominant summand ({n1}, {n2}) in the plethysm sums")
+    first = zip(range(x - 2, -1, -2), range(y + 1, y + m1 + 1))
+    if fold:
+        return chain((((x, y), 1),), zip(first, cycle((-2, 2))))
     return chain(
         (((x, y), 1),),
-        zip(zip(range(x - 2, -1, -2), range(y + 1, y + m1 + 1)),
-            cycle((-1, 1))),
+        zip(first, cycle((-1, 1))),
         zip(zip(range(x + 1, x + m2 + 1), range(y - 2, -1, -2)),
             cycle((-1, 1))))
 

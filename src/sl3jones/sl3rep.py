@@ -8,9 +8,9 @@ ScaledLaurent values, each on the smallest lattice its exponents live on:
 quantum integers on the 1/2 lattice, twist powers theta^(num/den) on the
 1/(3*den) lattice.  Quantum dimensions are in whole powers of q.
 qdim_closed is the torus-knot evaluator's sum of one weight, the Weyl
-alternant over its three checked stride divisions; qdim_weyl, the
-product of quantum integers over the positive roots with one long
-division, is the independent route that checks it.
+alternant over its checked stride divisions; qdim_weyl, the product of
+quantum integers over the positive roots with one long division, is the
+independent route that checks it.
 """
 
 from __future__ import annotations
@@ -113,7 +113,8 @@ def qdim_closed(w: WeightLike) -> ScaledLaurent:
     It is the Rosso-Jones sum of the one weight w at b = 0 over the
     trivial color, so the torus-knot evaluator builds it: the six-term
     Weyl alternant {A}{B}{A+B}, with A = m1+1 and B = m2+1, divided by
-    {1}^2 {2} in three checked stride divisions.
+    {1}^2 {2}: the trivial color is self-dual, so (1 - q)^2 goes in one
+    checked pass and 1 - q^2 in a second.
     """
     from .jones import _rosso_jones  # jones imports this module
 

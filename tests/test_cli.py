@@ -199,6 +199,35 @@ def test_limit_bounds_parameters(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv, bounds", [
+    ("jones --a 101 --b 2 --m1 1 --m2 0", "1..100"),
+    ("degrees --a 0 --b 1 --m1 1 --m2 0", "1..100"),
+    ("table --a 101 --b 2 --max 1", "1..100"),
+    ("plethysm --a 7 --m1 1 --m2 0 --limit 6", "1..6"),
+])
+def test_a_outside_the_limit_is_a_usage_error(capsys, monkeypatch, argv,
+                                              bounds):
+    # the a >= 3 numerator spans the exponents of the Adams images, which
+    # grow with a, so --a is refused before any work, as the colors are
+    def no_work(*args):
+        raise AssertionError("the request was started")
+
+    monkeypatch.setattr(cli, "_with_cache", no_work)
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and out == ""
+    a = argv.split()[2]
+    assert err == f"usage error: --a {a} lies outside {bounds} (see --limit)\n"
+
+
+def test_a_up_to_the_limit_is_computed(capsys, monkeypatch):
+    # T(101, 2) is T(2, 101)
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    got = run(capsys, "jones", "--a", "101", "--b", "2", "--m1", "1",
+              "--m2", "0", "--limit", "101")
+    want = run(capsys, "jones", "--b", "101", "--m1", "1", "--m2", "0")
+    assert got == want and got[0] == 0
+
+
 def test_negative_limit_is_its_own_usage_error(capsys):
     code, out, err = run(capsys, "jones", "--b", "3", "--m1", "1", "--m2",
                          "1", "--limit", "-5")
@@ -231,7 +260,8 @@ def test_usage_error_twist_bad_denominator(capsys):
 # A size below that, such as b = 10**11 + 1, would really try to allocate.
 @pytest.mark.parametrize("argv, detail", [
     ("jones --b 1000000000000001 --m1 40 --m2 40", "out of memory"),
-    ("jones --a 2000000000000000001 --b 1 --m1 1 --m2 0", "out of memory"),
+    ("jones --a 2000000000000000001 --b 1 --m1 1 --m2 0"
+     " --limit 2000000000000000001", "out of memory"),
     ("jones --b 1000000000000000001 --m1 40 --m2 40", "index-sized integer"),
 ])
 def test_oversized_request_is_a_usage_error(capsys, monkeypatch, argv,
@@ -427,7 +457,8 @@ def test_table_matches_full_square(capsys, opts):
 def test_table_adds_each_row_summand_once(capsys, monkeypatch):
     # for a = 2 the numerator of each diagonal grows by one plethysm row
     # per cell: every row summand goes through the numerator once, and no
-    # cell rebuilds its plethysm
+    # cell rebuilds its plethysm; the self-dual rows (p, p) of the d = 0
+    # diagonal are folded, their centre and first arm only
     added = counting_rows(monkeypatch)
     refuse_everywhere(monkeypatch, psi2_closed,
                       "a table cell rebuilt its plethysm")
@@ -435,7 +466,8 @@ def test_table_adds_each_row_summand_once(capsys, monkeypatch):
     assert code == 0
     cells = [(m1, m2) for m2 in range(7) for m1 in range(m2 + 1)]
     assert len(added) == len(cells)
-    assert sum(added) == sum(m1 + m2 + 1 for m1, m2 in cells)
+    assert sum(added) == sum(m1 + 1 if m1 == m2 else m1 + m2 + 1
+                             for m1, m2 in cells)
 
 
 def test_table_var_changes_signs(capsys):

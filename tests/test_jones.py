@@ -169,7 +169,8 @@ def test_matches_literal_assembly():
                                       (51, (6, 6)), (3, (0, 12))])
 def test_jones_t2b_adds_each_row_summand_once(monkeypatch, b, color):
     # jones_t2b sums the plethysm rows straight into its numerator: each
-    # row summand goes through it once, and no merged plethysm is built
+    # row summand goes through it once, and no merged plethysm is built;
+    # a self-dual row (p, p) is folded, its centre and first arm only
     want = literal_t2b(b, color)
     added = counting_rows(monkeypatch)
     refuse_everywhere(monkeypatch, psi2_closed,
@@ -177,7 +178,8 @@ def test_jones_t2b_adds_each_row_summand_once(monkeypatch, b, color):
     res = jones_t2b(b, color)
     assert res.value == want and res.color == color
     m1, m2 = color
-    assert added == [m1 + m2 - 2 * l + 1 for l in range(min(m1, m2), -1, -1)]
+    rows = [(m1 - l, m2 - l) for l in range(min(m1, m2), -1, -1)]
+    assert added == [p + 1 if p == q else p + q + 1 for p, q in rows]
 
 
 def test_rosso_matches_literal_assembly():
@@ -250,15 +252,27 @@ def test_a_second_class_raises_though_it_would_cancel(weights):
         _rosso_jones(dict(weights), 2, 1, Weight(0, 0))
 
 
+def times_one_minus(coeffs, n):
+    """The coefficients of (1 - x^n) * coeffs, n entries longer."""
+    out = list(coeffs) + [0] * n
+    for i, c in enumerate(coeffs):
+        out[i + n] -= c
+    return out
+
+
+def two_passes(coeffs, n):
+    """coeffs divided by (1 - x^n)^2 in two checked single passes."""
+    got = list(coeffs)
+    _div_stride(got, n)
+    _div_stride(got, n)
+    return got
+
+
 @settings(max_examples=120)
 @given(st.lists(st.integers(-10**12, 10**12), min_size=1, max_size=40),
        st.integers(1, 12), st.data())
 def test_div_stride_round_trip(quotient, stride, data):
-    # the product (1 - x^stride) * quotient, coefficient by coefficient
-    product = [0] * (len(quotient) + stride)
-    for i, c in enumerate(quotient):
-        product[i] += c
-        product[i + stride] -= c
+    product = times_one_minus(quotient, stride)
     got = list(product)
     _div_stride(got, stride)
     assert got == quotient
@@ -267,6 +281,75 @@ def test_div_stride_round_trip(quotient, stride, data):
     product[data.draw(st.integers(0, len(product) - 1))] += 1
     with pytest.raises(InexactDivisionError):
         _div_stride(product, stride)
+
+
+@settings(max_examples=120)
+@given(st.lists(st.integers(-10**12, 10**12), min_size=1, max_size=40),
+       st.integers(1, 12))
+def test_double_pass_round_trip(quotient, n):
+    # one pass by (1 - x^n)^2 undoes the product and matches two passes
+    product = times_one_minus(times_one_minus(quotient, n), n)
+    got = list(product)
+    _div_stride(got, n, twice=True)
+    assert got == quotient == two_passes(product, n)
+
+
+@settings(max_examples=120)
+@given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=40),
+       st.integers(1, 12))
+def test_double_pass_refuses_a_single_factor(p, n):
+    # (1 - x^n) * P with P no multiple of 1 - x^n: its residue sums
+    # along stride n are not all zero, and making the first one nonzero
+    # makes sure of that
+    if not any(sum(p[r::n]) for r in range(n)):
+        p[0] += 1
+    product = times_one_minus(p, n)
+    with pytest.raises(InexactDivisionError):
+        _div_stride(product, n, twice=True)
+    with pytest.raises(InexactDivisionError):
+        two_passes(product, n)
+
+
+@settings(max_examples=120)
+@given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=40),
+       st.integers(1, 12), st.data())
+def test_double_pass_checks_the_top_two_strides(quotient, n, data):
+    # (1 - x^n)^2 * S cut to the length of the exact product of quotient,
+    # for S = quotient + c*x^k with k among the n powers above it: its
+    # series quotient is S, whose top n entries are zero and the n
+    # below them are not, so a check of the top n alone would pass it
+    k = len(quotient) + data.draw(st.integers(0, n - 1))
+    c = data.draw(st.integers(-10**6, 10**6).filter(bool))
+    product = times_one_minus(times_one_minus(quotient, n), n)
+    product[k] += c
+    product[k + n] -= 2 * c
+    with pytest.raises(InexactDivisionError):
+        _div_stride(product, n, twice=True)
+    with pytest.raises(InexactDivisionError):
+        two_passes(product, n)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=40),
+       st.integers(1, 8),
+       st.lists(st.tuples(st.integers(0, 60), st.integers(-2, 2)),
+                max_size=2))
+def test_double_pass_is_as_strong_as_two_passes(quotient, n, bumps):
+    # near-multiples of (1 - x^n)^2: the one pass refuses exactly what
+    # the two checked passes refuse, and otherwise agrees with them
+    product = times_one_minus(times_one_minus(quotient, n), n)
+    for i, c in bumps:
+        product[i % len(product)] += c
+    try:
+        want = two_passes(product, n)
+    except InexactDivisionError:
+        want = None
+    got = list(product)
+    try:
+        _div_stride(got, n, twice=True)
+    except InexactDivisionError:
+        got = None
+    assert got == want
 
 
 def bracket(h, n):
@@ -443,6 +526,19 @@ def test_evaluation_leaves_the_numerator_unchanged(b, d, evaluated):
     assert in_use(acc) == in_use(twin)
     assert _evaluate(acc, 2, b, w) == _evaluate(twin, 2, b, w) == \
         jones_t2b(b, w).value
+
+
+@pytest.mark.parametrize("b", [1, 3, 5, 51])
+def test_folded_rows_give_the_unfolded_numerator(b):
+    # a self-dual diagonal adds its rows folded; at every color of every
+    # one up to (30, 30) the numerator is the one the full rows give
+    for m in range(31):
+        full = _Numerator(_t2b_span(b, m, m))
+        for w, acc in jones._t2b_numerators(b, (m, m)):
+            _add_numerator(full, _psi2_row(*w), 2, b)
+            assert (acc.r, acc.off, acc.lo, acc.hi) == \
+                (full.r, full.off, full.lo, full.hi), (b, w)
+            assert acc.coeffs == full.coeffs, (b, w)
 
 
 # -- the numerator's lists -------------------------------------------------

@@ -134,6 +134,21 @@ def test_row_is_the_first_row_of_the_sums():
             assert all(type(k) is tuple for k in row)
 
 
+def test_folded_row_unfolds_to_the_row():
+    # a folded self-dual row is the centre and the first sum with its
+    # signs doubled: half of each doubled summand back on itself and
+    # half on its mirror give the row
+    for p in range(31):
+        pairs = list(_psi2_row(p, p, fold=True))
+        assert len(pairs) == p + 1 and pairs[0] == ((2 * p, 2 * p), 1)
+        row = {}
+        for (n1, n2), c in pairs[1:]:
+            assert c in (-2, 2) and n1 < n2
+            row[n1, n2] = row[n2, n1] = c // 2
+        row[2 * p, 2 * p] = 1
+        assert row == dict(_psi2_row(p, p)), p
+
+
 @pytest.mark.parametrize("m1, m2", [(-1, 0), (-1, 3), (0, -1), (4, -1),
                                     (-2, -2)])
 def test_non_dominant_row_summand_raises(m1, m2):
