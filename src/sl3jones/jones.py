@@ -26,9 +26,11 @@ numerator (_Numerator) is therefore one dense list, in whole powers of
 q, with its class, its offset and the range in use: a term is a list
 add, with no exponent dict, key scan or gcd.  A weight off the walls
 in a second class raises NonIntegralExponentError as it is added.
-Each weight's index span is checked against the list before the adds,
-and the list grows to hold it, since a negative index would wrap round
-silently.  _evaluate divides the list by the three factors
+The list is allocated once, before the first term, over _span of the
+weights' largest A^2 + AB + B^2, and never grows.  Each weight's index
+span is still checked against it before the adds, since a negative
+index would wrap round silently: a weight past it raises LaurentError.
+_evaluate divides the list by the three factors
 {n} = -q^(-n/2) (1 - q^n) of qdim(w).  Dividing by 1 - q^n is a plain
 prefix sum along stride n of the list, and the sign (-1)^3 of the three
 factors is folded into the numerator's signs; each division must leave a
@@ -45,9 +47,9 @@ _add_numerator then _evaluate.  For T(2, b), row l of psi2(m1, m2) is row 0 of
 (m1 - l, m2 - l), so psi2(j, j + d) is psi2(j - 1, j + d - 1) plus the
 row _psi2_row(j, j + d), and the numerator is linear in psi2:
 _t2b_numerators grows one numerator by a row per color along the
-diagonal (j, j + d), its list sized once from the diagonal's top color
-(_t2b_span).  On a self-dual diagonal, (j, j), each row is self-dual
-and mirror-symmetric: its two arms are mirror images with equal signs,
+diagonal (j, j + d), its list sized once from the diagonal's top color.
+On a self-dual diagonal, (j, j), each row is self-dual and
+mirror-symmetric: its two arms are mirror images with equal signs,
 and a weight's six terms do not change under (n1, n2) -> (n2, n1),
 since twist3 is symmetric and swapping A and B swaps two pairs of terms
 of equal sign.  So the row is added folded, its centre once and its
@@ -68,12 +70,13 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
 from itertools import accumulate
-from math import gcd
+from math import gcd, isqrt
 from typing import NamedTuple
 
-from .laurent import (InexactDivisionError, NonIntegralExponentError,
-                      ScaledLaurent, UndefinedDegreeError, Write,
-                      _DenseTerms, _joined, _Value)
+from .laurent import (InexactDivisionError, LaurentError,
+                      NonIntegralExponentError, ScaledLaurent,
+                      UndefinedDegreeError, Write, _DenseTerms, _joined,
+                      _Value)
 from .plethysm2 import _psi2_row
 from .schur3 import schur
 from .sl3rep import Weight, WeightLike, _as_dominant, _twist3
@@ -216,35 +219,37 @@ def _div_stride(dense: list[int], stride: int, twice: bool = False) -> None:
     del dense[-top:]
 
 
+def _span(a: int, b: int, q: int) -> tuple[int, int]:
+    """The (lowest, highest) whole power in a numerator of T(a, b).
+
+    q is at least Q = A^2 + AB + B^2 of every weight (n1, n2) to be
+    added, with A = n1 + 1 and B = n2 + 1, so that twist3 = Q - 3.  A
+    weight puts its six terms at e +- A +- B, with
+    e = floor(b*(Q - 3)/(3a)).  Q >= 0, so e >= -(b//a) - 1; and
+    4Q - (|A| + |B|)^2 >= 3(|A| - |B|)^2, so |A| + |B| <= isqrt(4Q).
+    Both ends hold for b = 0 too, where every e is 0.
+    """
+    s = isqrt(4 * q)
+    return -(b // a) - 1 - s, b * (q - 3) // (3 * a) + s
+
+
 class _Numerator:
     """A Rosso-Jones numerator: the terms of one exponent class.
 
     The class is r, with 0 <= r < 6a, or None while no term is in; and
     coeffs[i] is the coefficient of q^(off + i + r/(6a)), in whole powers
     of q.  The whole powers lo..hi are the range in use, empty while
-    lo > hi; every entry outside it is zero.  span is None, or the
-    (lowest, highest) whole power of q that any term will take: the list
-    is then allocated over it, and does not grow while the span holds.
+    lo > hi; every entry outside it is zero.  span is the (lowest,
+    highest) whole power of q that any term will take, from _span before
+    the first term: the list is allocated over it once and never grows.
     """
 
     __slots__ = ("r", "off", "coeffs", "lo", "hi")
 
-    def __init__(self, span: tuple[int, int] | None = None):
-        lo, hi = span or (0, -1)
+    def __init__(self, span: tuple[int, int]):
+        lo, hi = span
         self.r, self.off, self.coeffs = None, lo, [0] * (hi - lo + 1)
         self.lo, self.hi = hi + 1, lo - 1  # nothing in use yet
-
-    def fit(self, lo: int, hi: int) -> None:
-        """Grow the list to cover the whole powers lo..hi."""
-        n = len(self.coeffs)
-        below, above = self.off - lo, hi - self.off - n + 1
-        # growing by at least the length keeps the copying linear
-        if above > 0:
-            self.coeffs += [0] * max(above, n)
-        if below > 0:
-            k = max(below, n)
-            self.coeffs[:0] = [0] * k
-            self.off -= k
 
     def used(self) -> tuple[int, int]:
         """The slice of coeffs in use, its zero ends trimmed."""
@@ -258,7 +263,7 @@ class _Numerator:
     def copy(self) -> "_Numerator":
         """The terms in use, copied: evaluating the copy leaves self as is."""
         i, j = self.used()
-        new = _Numerator()
+        new = _Numerator.__new__(_Numerator)
         new.r, new.coeffs = self.r, self.coeffs[i:j]
         new.off = new.lo = self.off + i
         new.hi = new.lo + j - i - 1
@@ -277,9 +282,12 @@ def _add_numerator(acc: _Numerator,
     adds nothing, and the other weights need not be straightened to
     dominant ones.  A weight off the walls whose exponent class is not
     the numerator's raises NonIntegralExponentError: no route makes one.
+    _span sized acc for every weight, so one past it is a fault: it
+    raises LaurentError before any of its terms is written.
     """
     scale, tb = 6 * a, 2 * b
     r, off, coeffs, lo, hi = acc.r, acc.off, acc.coeffs, acc.lo, acc.hi
+    end = off + len(coeffs)
     # The sum is order-free, so the terms are taken unsorted.  Each mu
     # adds -{A}{B}{A+B} q^(t/scale) with A = n1+1, B = n2+1 and
     # t = 2b * twist3(mu) = scale*e + k: six monomials of class k, at the
@@ -296,15 +304,14 @@ def _add_numerator(acc: _Numerator,
                     f"weight {(n1, n2)} is in exponent class {k}/{scale} "
                     f"of T({a},{b}), the numerator's is {r}/{scale}")
             r = acc.r = k
-            if not coeffs:  # an unsized list starts at the first term
-                off = lo = hi = acc.off = e
         s = abs(A) + abs(B)
         # the index guard: a negative index would wrap round silently
         if e - s < lo or e + s > hi:
+            if e - s < off or e + s >= end:
+                raise LaurentError(
+                    f"weight {(n1, n2)} of T({a},{b}) reaches past the "
+                    f"numerator's span {off}..{end - 1}")
             lo, hi = min(lo, e - s), max(hi, e + s)
-            if lo < off or hi >= off + len(coeffs):
-                acc.fit(lo, hi)
-                off = acc.off
         i = e - off
         coeffs[i + A + B] -= c
         coeffs[i + A] += c
@@ -360,9 +367,10 @@ def _rosso_jones(weights: Mapping[tuple[int, int], int], a: int, b: int,
     """The Rosso-Jones sum over weights, reduced to scale 1.
 
     weights maps (n1, n2) to a signed multiplicity, as _add_numerator
-    takes them.
+    takes them.  The weights' largest Q = twist3 + 3 sizes the list.
     """
-    acc = _Numerator()
+    q = max((_twist3(n1, n2) for n1, n2 in weights), default=-3) + 3
+    acc = _Numerator(_span(a, b, q))
     _add_numerator(acc, weights.items(), a, b)
     return _evaluate(acc, a, b, color)
 
@@ -389,21 +397,6 @@ def _t2b_knot(b: int) -> TorusKnotSpec:
     return TorusKnotSpec(2, b)
 
 
-def _t2b_span(b: int, m1: int, m2: int) -> tuple[int, int]:
-    """The (lowest, highest) whole power of q in T(2, b)'s numerator.
-
-    It bounds the numerator of every color on the diagonal up to
-    (m1, m2).  Every row weight mu = (n1, n2) is dominant and puts its
-    terms at e +- (n1+1) +- (n2+1), with e = floor(b*twist3(mu)/6).  The
-    highest comes from (2*m1, 2*m2): along a row, twist3 and n1 + n2 fall
-    as k grows, and each earlier row is the top row of a smaller color.
-    For the lowest, twist3(mu) >= 3S^2/4 + 3S with S = n1 + n2, so
-    e - S - 2 >= S^2/8 - S/2 - 17/6 >= -10/3 for every b >= 1, and the
-    lowest power is at least -3.
-    """
-    return -3, b * _twist3(2 * m1, 2 * m2) // 6 + 2 * (m1 + m2 + 1)
-
-
 def _t2b_numerators(
         b: int, color: WeightLike) -> Iterator[tuple[Weight, _Numerator]]:
     """(w, numerator of T(2, b) at w) along the diagonal of color, up to it.
@@ -417,12 +410,14 @@ def _t2b_numerators(
     its rows are then added folded (_psi2_row with fold), each the centre
     and the first arm with doubled signs, as the mirror leaves every
     weight's six terms unchanged; the numerator is the one the full rows
-    give.  Its list is sized once, over _t2b_span of color.  The same
-    numerator is yielded each time, so a caller evaluates a copy of it
-    before asking for the next color.
+    give.  Its list is sized once, over _span of the top row's first
+    weight (2*m1, 2*m2): twist3 does not rise along a row, as a step in k
+    adds -3*n1 or -3*n2, and each earlier row is the top row of a
+    smaller color.  The same numerator is yielded each time, so a caller
+    evaluates a copy of it before asking for the next color.
     """
     m1, m2 = _as_dominant(color)
-    acc = _Numerator(_t2b_span(b, m1, m2))
+    acc = _Numerator(_span(2, b, _twist3(2 * m1, 2 * m2) + 3))
     fold = m1 == m2  # then every row of the diagonal is self-dual
     for l in range(min(m1, m2), -1, -1):
         w = Weight(m1 - l, m2 - l)

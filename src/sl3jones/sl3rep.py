@@ -114,7 +114,7 @@ def qdim_closed(w: WeightLike) -> ScaledLaurent:
     trivial color, so the torus-knot evaluator builds it: the six-term
     Weyl alternant {A}{B}{A+B}, with A = m1+1 and B = m2+1, divided by
     {1}^2 {2}: the trivial color is self-dual, so (1 - q)^2 goes in one
-    checked pass and 1 - q^2 in a second.
+    checked pass and 1 - q^2 in a second; _span sizes its list at b = 0.
     """
     from .jones import _rosso_jones  # jones imports this module
 

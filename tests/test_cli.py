@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import sl3jones.cli as cli
-from sl3jones import schur3
+from sl3jones import jones, schur3
 from sl3jones.jones import (TorusKnotSpec, degree_report, jones_rosso,
                             jones_t2b)
 from sl3jones.laurent import InexactDivisionError
@@ -273,6 +273,22 @@ def test_oversized_request_is_a_usage_error(capsys, monkeypatch, argv,
     assert code == 2 and out == ""
     assert err.startswith("usage error: request too large (")
     assert detail in err and "Traceback" not in err
+
+
+def test_oversized_a_is_refused_before_any_term(capsys, monkeypatch):
+    # the a >= 3 list is sized before the first weight is added, so a
+    # list too long to allocate is refused with no term added
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+
+    def refuse(acc, weights, a, b):
+        raise AssertionError("a term was added before the list was sized")
+
+    monkeypatch.setattr(jones, "_add_numerator", refuse)
+    code, out, err = run(capsys, "jones", "--a", "3",
+                         "--b", "1000000000000000001", "--m1", "40",
+                         "--m2", "40", "--limit", "1000000000000000001")
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: request too large (")
 
 
 def test_closed_stdout_exits_quietly():

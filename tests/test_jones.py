@@ -4,21 +4,21 @@ import sys
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import clear_schur3_memos
 from sl3jones import jones, schur3
 from sl3jones.jones import (ColoredJonesResult, TorusKnotSpec, _add_numerator,
                             _div_stride, _evaluate, _Numerator, _rosso_jones,
-                            _t2b_diagonal, _t2b_span, degree_report,
-                            jones_rosso, jones_t2b)
-from sl3jones.laurent import (InexactDivisionError, NonIntegralExponentError,
-                              ScaledLaurent, UndefinedDegreeError,
-                              _DenseTerms)
+                            _span, _t2b_diagonal, degree_report, jones_rosso,
+                            jones_t2b)
+from sl3jones.laurent import (InexactDivisionError, LaurentError,
+                              NonIntegralExponentError, ScaledLaurent,
+                              UndefinedDegreeError, _DenseTerms)
 from sl3jones.plethysm2 import _psi2_row, psi2_closed
-from sl3jones.schur3 import psi_oracle
-from sl3jones.sl3rep import (SignedWeightSum, Weight, qdim_weyl,
+from sl3jones.schur3 import psi_oracle, schur
+from sl3jones.sl3rep import (SignedWeightSum, Weight, qdim_closed, qdim_weyl,
                              twist_monomial)
 from test_laurent import ascends
 
@@ -49,6 +49,17 @@ def literal_t2b(b, w):
 
 def literal_rosso(knot, w):
     return literal_sum(psi_oracle(w, knot.a), knot.a, knot.b, w)
+
+
+def norm(n1, n2):
+    """Q = A^2 + AB + B^2 of the weight (n1, n2), A = n1 + 1, B = n2 + 1."""
+    A, B = n1 + 1, n2 + 1
+    return A * A + A * B + B * B
+
+
+def sized(weights, a, b):
+    """A numerator of T(a, b) over _span of the weights' largest Q."""
+    return _Numerator(_span(a, b, max(norm(*mu) for mu in weights)))
 
 
 def refuse_everywhere(monkeypatch, function, message):
@@ -232,7 +243,7 @@ def test_two_exponent_classes_raise():
     # the first alone is integral, and adding the second raises
     w = Weight(0, 0)
     assert _rosso_jones({(0, 0): 1}, 2, 1, w) == ScaledLaurent.one()
-    acc = _Numerator()
+    acc = sized([(0, 0), (1, 0)], 2, 1)
     with pytest.raises(NonIntegralExponentError,
                        match=r"\(1, 0\) is in exponent class 8/12 .* 0/12"):
         _add_numerator(acc, [((0, 0), 1), ((1, 0), 1)], 2, 1)
@@ -510,10 +521,12 @@ def in_use(acc):
 def test_evaluation_leaves_the_numerator_unchanged(b, d, evaluated):
     # one numerator, sized as the diagonal sizes it, is evaluated through
     # the copy the diagonal takes at the cells marked in evaluated; its
-    # twin, which grows, at none: both must end as the same numerator
-    # and value
+    # twin, sized over a wider span, at none: both must end as the same
+    # numerator and value
     n = len(evaluated) - 1
-    acc, twin = _Numerator(_t2b_span(b, n, n + d)), _Numerator()
+    acc = sized([(2 * n, 2 * (n + d))], 2, b)
+    twin = sized([(2 * n + 2, 2 * (n + d) + 2)], 2, b)
+    assert twin.off < acc.off
     for j, evaluate in enumerate(evaluated):
         w = Weight(j, j + d)
         row = list(_psi2_row(*w))
@@ -533,7 +546,7 @@ def test_folded_rows_give_the_unfolded_numerator(b):
     # a self-dual diagonal adds its rows folded; at every color of every
     # one up to (30, 30) the numerator is the one the full rows give
     for m in range(31):
-        full = _Numerator(_t2b_span(b, m, m))
+        full = sized([(2 * m, 2 * m)], 2, b)
         for w, acc in jones._t2b_numerators(b, (m, m)):
             _add_numerator(full, _psi2_row(*w), 2, b)
             assert (acc.r, acc.off, acc.lo, acc.hi) == \
@@ -589,44 +602,153 @@ def test_oracle_weights_fill_one_class():
     for a, b in ((2, 3), (2, 5), (3, 4), (3, 5), (4, 5), (5, 3)):
         for m1 in range(7):
             for m2 in range(7):
-                acc = _Numerator()
-                _add_numerator(acc, psi_oracle((m1, m2), a)._terms.items(),
-                               a, b)
+                weights = psi_oracle((m1, m2), a)._terms
+                acc = sized(weights, a, b)
+                _add_numerator(acc, weights.items(), a, b)
                 assert acc.r == adams_class(a, b, m1, m2), (a, b, m1, m2)
 
 
+def sized_once(monkeypatch):
+    """The span of every numerator allocated from here on, in order.
+
+    Each add is checked to leave its numerator's list where it was
+    allocated, the same list at the same offset and length, with the
+    range in use inside it.
+    """
+    spans, allocated = [], {}
+    add = jones._add_numerator
+
+    class Recorded(_Numerator):
+        __slots__ = ()
+
+        def __init__(self, span):
+            super().__init__(span)
+            spans.append(span)
+            allocated[id(self)] = self.coeffs, span
+
+    def checked(acc, weights, a, b):
+        coeffs, (lo, hi) = allocated[id(acc)]
+        add(acc, weights, a, b)
+        assert acc.coeffs is coeffs and acc.off == lo
+        assert len(coeffs) == hi - lo + 1
+        assert acc.lo > acc.hi or lo <= acc.lo <= acc.hi <= hi
+
+    monkeypatch.setattr(jones, "_Numerator", Recorded)
+    monkeypatch.setattr(jones, "_add_numerator", checked)
+    return spans
+
+
 @pytest.mark.parametrize("b, mx", [(1, 14), (3, 8), (201, 8)])
-def test_t2b_span_holds_along_every_diagonal(b, mx):
-    # each list is allocated over the span once and never grows, and
-    # its top is attained by (2*m1, 2*m2)
+def test_t2b_diagonals_are_sized_once(monkeypatch, b, mx):
+    # each diagonal's list is allocated once, over the span of its top
+    # color's first row weight, and no row grows it
+    spans = sized_once(monkeypatch)
     for top in edge_tops(mx):
-        lo, hi = _t2b_span(b, *top)
-        for w, acc in jones._t2b_numerators(b, top):
-            assert (acc.off, len(acc.coeffs)) == (lo, hi - lo + 1)
-            assert lo <= acc.lo and acc.hi <= hi
-        assert acc.hi == hi, (b, top)
+        for _ in jones._t2b_numerators(b, top):
+            pass
+        m1, m2 = top
+        assert spans.pop() == _span(2, b, norm(2 * m1, 2 * m2)), (b, top)
+        assert not spans
 
 
-def test_a_numerator_grows_both_ways():
-    # the weights run from the middle outwards, so an unsized list grows
-    # at both ends, and so does a list sized too small; the value is the
-    # sized numerator's
-    b, w = 5, Weight(6, 9)
-    weights = sorted(psi2_closed(w)._terms.items(),
-                     key=lambda wc: abs(sum(wc[0]) - 12))
-    span = _t2b_span(b, *w)
-    # an unsized list is allocated at its first weight's terms, with no
-    # zero end
-    first = _Numerator()
-    _add_numerator(first, weights[:1], 2, b)
-    assert first.used() == (0, len(first.coeffs))
-    sized = _Numerator(span)
-    _add_numerator(sized, weights, 2, b)
-    for acc in (_Numerator(), _Numerator((20, 21))):
-        _add_numerator(acc, weights, 2, b)
-        assert acc.off < 0 and acc.off + len(acc.coeffs) > span[1]
-        assert in_use(acc) == in_use(sized)
-        assert _evaluate(acc, 2, b, w) == jones_t2b(b, w).value
+def adams_weights(a, m1, m2):
+    """The Adams images a*nu of the weights of V_(m1, m2)."""
+    return [(a * (e1 - e2), a * (e2 - e3))
+            for e1, e2, e3 in schur((m1 + m2, m2, 0))]
+
+
+@pytest.mark.parametrize("a, b", [(3, 4), (4, 5), (5, 6), (7, 2)])
+def test_adams_weights_are_sized_once(monkeypatch, a, b):
+    spans = sized_once(monkeypatch)
+    for m1 in range(9):
+        for m2 in range(9):
+            jones_rosso(TorusKnotSpec(a, b), (m1, m2))
+            q = max(norm(*mu) for mu in adams_weights(a, m1, m2))
+            assert spans == [_span(a, b, q)], (a, b, m1, m2)
+            spans.clear()
+
+
+def test_oracle_weights_are_sized_once(monkeypatch):
+    spans = sized_once(monkeypatch)
+    for a, b in ((2, 3), (3, 4), (4, 5), (5, 3)):
+        for m1 in range(6):
+            for m2 in range(6):
+                weights = psi_oracle((m1, m2), a)._terms
+                _rosso_jones(weights, a, b, Weight(m1, m2))
+                q = max(norm(*mu) for mu in weights)
+                assert spans == [_span(a, b, q)], (a, b, m1, m2)
+                spans.clear()
+
+
+def test_qdim_closed_is_sized_once(monkeypatch):
+    spans = sized_once(monkeypatch)
+    for m1 in range(31):
+        for m2 in range(31):
+            qdim_closed((m1, m2))
+            assert spans == [_span(1, 0, norm(m1, m2))], (m1, m2)
+            spans.clear()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(-15, 40), st.integers(-15, 40)),
+                       st.integers(-3, 3), max_size=30),
+       st.integers(1, 12), st.integers(0, 300))
+# (-1, -1) has Q = 0, the least e, which lies below -(b//a) when a does
+# not divide b
+@example({(-1, -1): 1}, 2, 1)
+def test_span_holds_for_any_weights(weights, a, b):
+    # _span of the largest Q holds every term of every weight, and the
+    # weights of one class are added over it without a raise and without
+    # growing the list
+    lo, hi = span = _span(a, b, max((norm(*mu) for mu in weights),
+                                    default=0))
+    classes = set()
+    for n1, n2 in weights:
+        e, k = divmod(2 * b * (norm(n1, n2) - 3), 6 * a)
+        s = abs(n1 + 1) + abs(n2 + 1)
+        assert lo <= e - s and e + s <= hi, (n1, n2)
+        classes.add(k)
+    one = [(mu, c) for mu, c in weights.items()
+           if 2 * b * (norm(*mu) - 3) % (6 * a) == min(classes, default=0)]
+    acc = _Numerator(span)
+    coeffs = acc.coeffs
+    _add_numerator(acc, one, a, b)
+    assert acc.coeffs is coeffs and len(coeffs) == hi - lo + 1
+
+
+@pytest.mark.parametrize("end", ["low", "high"])
+def test_a_short_span_raises_before_any_write(monkeypatch, capsys, end):
+    # a span one short of the terms at either end must be refused by the
+    # index guard: at the low end the lowest term would otherwise wrap
+    # round to the list's last entry
+    from sl3jones import cli
+
+    def tight(weights, a, b):
+        ends = []
+        for n1, n2 in weights:
+            e = 2 * b * (norm(n1, n2) - 3) // (6 * a)
+            s = abs(n1 + 1) + abs(n2 + 1)
+            ends += [e - s, e + s]
+        lo, hi = min(ends), max(ends)
+        return (lo + 1, hi) if end == "low" else (lo, hi - 1)
+
+    for (n1, n2), a, b in (((2, 1), 3, 4), ((3, 0), 2, 5), ((0, 0), 1, 0)):
+        acc = _Numerator(tight([(n1, n2)], a, b))
+        with pytest.raises(LaurentError, match="reaches past the numerator"):
+            _add_numerator(acc, [((n1, n2), 1)], a, b)
+        assert not any(acc.coeffs)
+    # the CLI reports it as an internal-consistency error, on each route
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    rows = [mu for w in ((1, 0), (2, 1)) for mu, _ in _psi2_row(*w)]
+    for argv, short in (
+            ("jones --a 3 --b 4 --m1 2 --m2 1",
+             tight(adams_weights(3, 2, 1), 3, 4)),
+            ("jones --b 3 --m1 2 --m2 1", tight(rows, 2, 3))):
+        monkeypatch.setattr(jones, "_span", lambda a, b, q, short=short: short)
+        assert cli.main(argv.split()) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("internal consistency error: weight ")
 
 
 @pytest.mark.parametrize("a", [2, 3])
