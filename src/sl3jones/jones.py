@@ -27,7 +27,7 @@ q, with its class, its offset and the range in use: a term is a list
 add, with no exponent dict, key scan or gcd.  A weight off the walls
 in a second class raises NonIntegralExponentError as it is added.
 The list is allocated once, before the first term, over _span of the
-weights' largest A^2 + AB + B^2, and never grows.  Each weight's index
+weights' range of A^2 + AB + B^2, and never grows.  Each weight's index
 span is still checked against it before the adds, since a negative
 index would wrap round silently: a weight past it raises LaurentError.
 _evaluate divides the list by the three factors
@@ -219,18 +219,19 @@ def _div_stride(dense: list[int], stride: int, twice: bool = False) -> None:
     del dense[-top:]
 
 
-def _span(a: int, b: int, q: int) -> tuple[int, int]:
+def _span(a: int, b: int, qmin: int, qmax: int) -> tuple[int, int]:
     """The (lowest, highest) whole power in a numerator of T(a, b).
 
-    q is at least Q = A^2 + AB + B^2 of every weight (n1, n2) to be
-    added, with A = n1 + 1 and B = n2 + 1, so that twist3 = Q - 3.  A
+    qmin <= Q <= qmax for Q = A^2 + AB + B^2 of every weight (n1, n2) to
+    be added, with A = n1 + 1 and B = n2 + 1, so that twist3 = Q - 3.  A
     weight puts its six terms at e +- A +- B, with
-    e = floor(b*(Q - 3)/(3a)).  Q >= 0, so e >= -(b//a) - 1; and
-    4Q - (|A| + |B|)^2 >= 3(|A| - |B|)^2, so |A| + |B| <= isqrt(4Q).
-    Both ends hold for b = 0 too, where every e is 0.
+    e = floor(b*(Q - 3)/(3a)), which does not fall as Q rises (b >= 0);
+    and 4Q - (|A| + |B|)^2 >= 3(|A| - |B|)^2, so |A| + |B| <= isqrt(4Q).
+    So each end is at most isqrt(4*qmax) past the outermost term, for any
+    b.  Both ends hold for b = 0 too, where every e is 0.
     """
-    s = isqrt(4 * q)
-    return -(b // a) - 1 - s, b * (q - 3) // (3 * a) + s
+    s = isqrt(4 * qmax)
+    return b * (qmin - 3) // (3 * a) - s, b * (qmax - 3) // (3 * a) + s
 
 
 class _Numerator:
@@ -367,10 +368,10 @@ def _rosso_jones(weights: Mapping[tuple[int, int], int], a: int, b: int,
     """The Rosso-Jones sum over weights, reduced to scale 1.
 
     weights maps (n1, n2) to a signed multiplicity, as _add_numerator
-    takes them.  The weights' largest Q = twist3 + 3 sizes the list.
+    takes them.  The least and largest Q = twist3 + 3 size the list.
     """
-    q = max((_twist3(n1, n2) for n1, n2 in weights), default=-3) + 3
-    acc = _Numerator(_span(a, b, q))
+    q = {_twist3(n1, n2) + 3 for n1, n2 in weights} or {3}
+    acc = _Numerator(_span(a, b, min(q), max(q)))
     _add_numerator(acc, weights.items(), a, b)
     return _evaluate(acc, a, b, color)
 
@@ -410,14 +411,15 @@ def _t2b_numerators(
     its rows are then added folded (_psi2_row with fold), each the centre
     and the first arm with doubled signs, as the mirror leaves every
     weight's six terms unchanged; the numerator is the one the full rows
-    give.  Its list is sized once, over _span of the top row's first
-    weight (2*m1, 2*m2): twist3 does not rise along a row, as a step in k
-    adds -3*n1 or -3*n2, and each earlier row is the top row of a
-    smaller color.  The same numerator is yielded each time, so a caller
-    evaluates a copy of it before asking for the next color.
+    give.  Its list is sized once, over _span from Q = 3 (every row
+    weight is dominant) to Q of the top row's first weight (2*m1, 2*m2):
+    twist3 does not rise along a row, as a step in k adds -3*n1 or
+    -3*n2, and each earlier row is the top row of a smaller color.  The
+    same numerator is yielded each time, so a caller evaluates a copy of
+    it before asking for the next color.
     """
     m1, m2 = _as_dominant(color)
-    acc = _Numerator(_span(2, b, _twist3(2 * m1, 2 * m2) + 3))
+    acc = _Numerator(_span(2, b, 3, _twist3(2 * m1, 2 * m2) + 3))
     fold = m1 == m2  # then every row of the diagonal is self-dual
     for l in range(min(m1, m2), -1, -1):
         w = Weight(m1 - l, m2 - l)

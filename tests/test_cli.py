@@ -291,6 +291,17 @@ def test_oversized_a_is_refused_before_any_term(capsys, monkeypatch):
     assert err.startswith("usage error: request too large (")
 
 
+@pytest.mark.parametrize("argv", [
+    "jones --b 1000000000000000001 --m1 0 --m2 0",
+    "jones --a 3 --b 1000000000000000001 --m1 0 --m2 0",
+])
+def test_a_small_color_answers_at_a_huge_b(capsys, monkeypatch, argv):
+    # the list is sized from the weights' twists, which all lie at one
+    # power here, so its length does not grow with b
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    assert run(capsys, *argv.split()) == (0, "1*q^0\n", "")
+
+
 def test_closed_stdout_exits_quietly():
     # more output than a pipe buffer holds (64 KiB), so the writer is
     # still writing when the reader goes away, as with `| head -c 10`

@@ -1,7 +1,7 @@
 """Colored invariants: closed form, weight form, oracle route, reports."""
 
 import sys
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -57,9 +57,15 @@ def norm(n1, n2):
     return A * A + A * B + B * B
 
 
+def span_of(weights, a, b):
+    """_span over the least and the largest Q of the weights."""
+    q = [norm(*mu) for mu in weights] or [3]
+    return _span(a, b, min(q), max(q))
+
+
 def sized(weights, a, b):
-    """A numerator of T(a, b) over _span of the weights' largest Q."""
-    return _Numerator(_span(a, b, max(norm(*mu) for mu in weights)))
+    """A numerator of T(a, b) over _span of the weights' Q."""
+    return _Numerator(span_of(weights, a, b))
 
 
 def refuse_everywhere(monkeypatch, function, message):
@@ -524,8 +530,9 @@ def test_evaluation_leaves_the_numerator_unchanged(b, d, evaluated):
     # twin, sized over a wider span, at none: both must end as the same
     # numerator and value
     n = len(evaluated) - 1
-    acc = sized([(2 * n, 2 * (n + d))], 2, b)
-    twin = sized([(2 * n + 2, 2 * (n + d) + 2)], 2, b)
+    # (0, 0) has Q = 3, the least of any dominant weight
+    acc = sized([(0, 0), (2 * n, 2 * (n + d))], 2, b)
+    twin = sized([(0, 0), (2 * n + 2, 2 * (n + d) + 2)], 2, b)
     assert twin.off < acc.off
     for j, evaluate in enumerate(evaluated):
         w = Weight(j, j + d)
@@ -546,7 +553,7 @@ def test_folded_rows_give_the_unfolded_numerator(b):
     # a self-dual diagonal adds its rows folded; at every color of every
     # one up to (30, 30) the numerator is the one the full rows give
     for m in range(31):
-        full = sized([(2 * m, 2 * m)], 2, b)
+        full = sized([(0, 0), (2 * m, 2 * m)], 2, b)
         for w, acc in jones._t2b_numerators(b, (m, m)):
             _add_numerator(full, _psi2_row(*w), 2, b)
             assert (acc.r, acc.off, acc.lo, acc.hi) == \
@@ -640,14 +647,15 @@ def sized_once(monkeypatch):
 
 @pytest.mark.parametrize("b, mx", [(1, 14), (3, 8), (201, 8)])
 def test_t2b_diagonals_are_sized_once(monkeypatch, b, mx):
-    # each diagonal's list is allocated once, over the span of its top
-    # color's first row weight, and no row grows it
+    # each diagonal's list is allocated once, over the span from Q = 3
+    # to Q of its top color's first row weight, and no row grows it
     spans = sized_once(monkeypatch)
     for top in edge_tops(mx):
         for _ in jones._t2b_numerators(b, top):
             pass
         m1, m2 = top
-        assert spans.pop() == _span(2, b, norm(2 * m1, 2 * m2)), (b, top)
+        assert spans.pop() == _span(2, b, 3, norm(2 * m1, 2 * m2)), \
+            (b, top)
         assert not spans
 
 
@@ -663,8 +671,8 @@ def test_adams_weights_are_sized_once(monkeypatch, a, b):
     for m1 in range(9):
         for m2 in range(9):
             jones_rosso(TorusKnotSpec(a, b), (m1, m2))
-            q = max(norm(*mu) for mu in adams_weights(a, m1, m2))
-            assert spans == [_span(a, b, q)], (a, b, m1, m2)
+            assert spans == [span_of(adams_weights(a, m1, m2), a, b)], \
+                (a, b, m1, m2)
             spans.clear()
 
 
@@ -675,8 +683,7 @@ def test_oracle_weights_are_sized_once(monkeypatch):
             for m2 in range(6):
                 weights = psi_oracle((m1, m2), a)._terms
                 _rosso_jones(weights, a, b, Weight(m1, m2))
-                q = max(norm(*mu) for mu in weights)
-                assert spans == [_span(a, b, q)], (a, b, m1, m2)
+                assert spans == [span_of(weights, a, b)], (a, b, m1, m2)
                 spans.clear()
 
 
@@ -685,7 +692,7 @@ def test_qdim_closed_is_sized_once(monkeypatch):
     for m1 in range(31):
         for m2 in range(31):
             qdim_closed((m1, m2))
-            assert spans == [_span(1, 0, norm(m1, m2))], (m1, m2)
+            assert spans == [_span(1, 0, *[norm(m1, m2)] * 2)], (m1, m2)
             spans.clear()
 
 
@@ -693,21 +700,27 @@ def test_qdim_closed_is_sized_once(monkeypatch):
 @given(st.dictionaries(st.tuples(st.integers(-15, 40), st.integers(-15, 40)),
                        st.integers(-3, 3), max_size=30),
        st.integers(1, 12), st.integers(0, 300))
-# (-1, -1) has Q = 0, the least e, which lies below -(b//a) when a does
-# not divide b
+# (-1, -1) has Q = 0 and the least e, and alone it is a span of one
+# entry; a small color with a huge b is a list of a few entries
 @example({(-1, -1): 1}, 2, 1)
+@example({(0, 0): 1, (-2, -2): -1}, 3, 10**18 + 1)
 def test_span_holds_for_any_weights(weights, a, b):
-    # _span of the largest Q holds every term of every weight, and the
-    # weights of one class are added over it without a raise and without
-    # growing the list
-    lo, hi = span = _span(a, b, max((norm(*mu) for mu in weights),
-                                    default=0))
+    # _span of the least and the largest Q holds every term of every
+    # weight, with slack past the outermost terms that does not grow
+    # with b, and the weights of one class are added over it without a
+    # raise and without growing the list
+    lo, hi = span = span_of(weights, a, b)
+    slack = isqrt(4 * max((norm(*mu) for mu in weights), default=3))
+    ends = []
     classes = set()
     for n1, n2 in weights:
         e, k = divmod(2 * b * (norm(n1, n2) - 3), 6 * a)
         s = abs(n1 + 1) + abs(n2 + 1)
         assert lo <= e - s and e + s <= hi, (n1, n2)
+        ends += [e - s, e + s]
         classes.add(k)
+    if ends:
+        assert min(ends) - lo <= slack and hi - max(ends) <= slack
     one = [(mu, c) for mu, c in weights.items()
            if 2 * b * (norm(*mu) - 3) % (6 * a) == min(classes, default=0)]
     acc = _Numerator(span)
@@ -744,7 +757,7 @@ def test_a_short_span_raises_before_any_write(monkeypatch, capsys, end):
             ("jones --a 3 --b 4 --m1 2 --m2 1",
              tight(adams_weights(3, 2, 1), 3, 4)),
             ("jones --b 3 --m1 2 --m2 1", tight(rows, 2, 3))):
-        monkeypatch.setattr(jones, "_span", lambda a, b, q, short=short: short)
+        monkeypatch.setattr(jones, "_span", lambda *_, short=short: short)
         assert cli.main(argv.split()) == 3
         out, err = capsys.readouterr()
         assert out == ""
