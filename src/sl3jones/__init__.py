@@ -17,13 +17,11 @@ from .jones import (ColoredJonesResult, DegreeReport, TorusKnotSpec,
 from .laurent import (InexactDivisionError, LaurentError,
                       NonIntegralExponentError, ScaledLaurent, ScaleError,
                       UndefinedDegreeError)
-from .plethysm2 import psi2_closed, psi2_schur_form, signed_dimension
-from .schur3 import (NotSymmetricError, adams, decompose_schur, is_symmetric,
-                     psi_oracle, schur, straighten, verify_lemma_LR,
+from .plethysm2 import psi2_closed, psi2_schur_form
+from .schur3 import (NotSymmetricError, psi_oracle, verify_lemma_LR,
                      verify_lemma_psi2_recurrence)
-from .sl3rep import (ROOT_DATA, RootDataSl3, SignedWeightSum, Weight,
-                     dimension, pairing, qdim_closed, qdim_weyl, qint,
-                     twist_monomial, twist_weyl_check)
+from .sl3rep import (SignedWeightSum, Weight, pairing, qdim_closed, qdim_weyl,
+                     qint, twist_monomial, twist_weyl_check)
 
 __all__ = [
     "__version__",
@@ -36,11 +34,8 @@ __all__ = [
     "UndefinedDegreeError",
     # sl3rep
     "Weight",
-    "RootDataSl3",
-    "ROOT_DATA",
     "pairing",
     "qint",
-    "dimension",
     "qdim_closed",
     "qdim_weyl",
     "twist_monomial",
@@ -48,18 +43,12 @@ __all__ = [
     "SignedWeightSum",
     # schur3
     "NotSymmetricError",
-    "adams",
-    "is_symmetric",
-    "straighten",
-    "schur",
-    "decompose_schur",
     "psi_oracle",
     "verify_lemma_LR",
     "verify_lemma_psi2_recurrence",
     # plethysm2
     "psi2_closed",
     "psi2_schur_form",
-    "signed_dimension",
     # jones
     "TorusKnotSpec",
     "ColoredJonesResult",

@@ -79,7 +79,7 @@ from .laurent import (InexactDivisionError, LaurentError,
                       _Value)
 from .plethysm2 import _psi2_row
 from .schur3 import schur
-from .sl3rep import Weight, WeightLike, _as_dominant, _twist3
+from .sl3rep import Weight, WeightLike, _as_dominant, _as_weight, _twist3
 
 __all__ = [
     "TorusKnotSpec",
@@ -114,16 +114,21 @@ class ColoredJonesResult(_Value):
     """An exact colored invariant value with its provenance.
 
     value is integer-reduced (scale 1); variable records whether the
-    exponents are powers of q or of 1/q.  Immutable; equal, hashed and
-    printed by its four fields.
+    exponents are powers of q or of 1/q.  A plain (a, b) knot becomes a
+    TorusKnotSpec and a plain (m1, m2) color a Weight, so every form
+    writes the same JSON.  Immutable; equal, hashed and printed by its
+    four fields.
     """
 
     __slots__ = ("value", "knot", "color", "variable")
 
     def __init__(self, value: ScaledLaurent, knot: TorusKnotSpec,
-                 color: Weight, variable: str = "q"):
+                 color: WeightLike, variable: str = "q"):
         if variable not in ("q", "qinv"):
             raise ValueError(f"variable must be 'q' or 'qinv', got {variable!r}")
+        if not isinstance(knot, TorusKnotSpec):
+            knot = TorusKnotSpec(*knot)
+        color = _as_weight(color)
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "knot", knot)
         object.__setattr__(self, "color", color)
@@ -384,18 +389,11 @@ def jones_t2b(b: int, color: WeightLike) -> ColoredJonesResult:
     Every division is checked exact and the result must reduce to
     integer exponents.
     """
-    knot = _t2b_knot(b)
+    knot = TorusKnotSpec(2, b)
     for w, acc in _t2b_numerators(b, color):
         pass  # the last color is color itself, with all its rows
     # nothing reads the numerator afterwards, so it is evaluated in place
     return ColoredJonesResult(_evaluate(acc, 2, b, w), knot, w, "q")
-
-
-def _t2b_knot(b: int) -> TorusKnotSpec:
-    """T(2, b), for a positive odd b."""
-    if not isinstance(b, int) or b < 1 or b % 2 == 0:
-        raise ValueError(f"T(2,b) needs a positive odd b, got {b!r}")
-    return TorusKnotSpec(2, b)
 
 
 def _t2b_numerators(
@@ -434,7 +432,7 @@ def _t2b_diagonal(b: int, color: WeightLike) -> Iterator[ColoredJonesResult]:
     the range in use, at each color, where jones_t2b per color would
     rebuild the numerator from its first row.
     """
-    knot = _t2b_knot(b)
+    knot = TorusKnotSpec(2, b)
     for w, acc in _t2b_numerators(b, color):
         yield ColoredJonesResult(_evaluate(acc.copy(), 2, b, w), knot, w, "q")
 

@@ -35,7 +35,9 @@ tuple per term: a JSON chunk over (exponent, coefficient), a text chunk
 over (coefficient, exponent) with every separator " + ", then one
 replace of "+ -" by "- " for the negative coefficients.  No exponent
 text holds "+ ", so the replace touches separators only.  to_text and
-to_json join the same chunks, and to_json_dict is the parse of to_json.
+to_json join the same chunks, and to_json_dict is the parse of to_json;
+the constructor reads such a dict d back, on any scale:
+ScaledLaurent(d["scale"], {e: int(c) for e, c in d["terms"]}).
 The package's methods that need the json module import it when called,
 so importing the library alone does not load it; the functions that
 return a Fraction (degree_span here, pairing and twist_weyl_check in
@@ -248,11 +250,6 @@ class _DenseItems(ItemsView):
         m = self._mapping
         return compress(zip(m._keys, m._coeffs), m._coeffs)
 
-    def __reversed__(self) -> Iterator[tuple[int, int]]:
-        m = self._mapping
-        return compress(zip(reversed(m._keys), reversed(m._coeffs)),
-                        reversed(m._coeffs))
-
 
 class _DenseValues(ValuesView):
     __slots__ = ()
@@ -322,10 +319,6 @@ class ScaledLaurent(_Value):
     @classmethod
     def one(cls) -> "ScaledLaurent":
         return cls(1, {0: 1})
-
-    @classmethod
-    def monomial(cls, scale: int, exponent: int, coeff: int = 1) -> "ScaledLaurent":
-        return cls(scale, {exponent: coeff})
 
     # -- inspection --------------------------------------------------
 
@@ -566,10 +559,3 @@ class ScaledLaurent(_Value):
         import json
 
         return json.loads(self.to_json())
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "ScaledLaurent":
-        """Inverse of to_json_dict; any scale is accepted and reduced."""
-        scale = data["scale"]
-        terms = [(int(e), int(c)) for e, c in data["terms"]]
-        return cls(scale, terms)

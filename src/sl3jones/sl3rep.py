@@ -10,7 +10,8 @@ quantum integers on the 1/2 lattice, twist powers theta^(num/den) on the
 qdim_closed is the torus-knot evaluator's sum of one weight, the Weyl
 alternant over its checked stride divisions; qdim_weyl, the product of
 quantum integers over the positive roots with one long division, is the
-independent route that checks it.
+independent route that checks it.  The Weyl vector rho and the positive
+roots, which qdim_weyl and twist_weyl_check pair with, are constants.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ __all__ = [
     "Weight",
     "WeightLike",
     "SignedWeightSum",
-    "RootDataSl3",
-    "ROOT_DATA",
     "qint",
     "pairing",
     "dimension",
@@ -63,20 +62,9 @@ def _as_dominant(w: WeightLike) -> Weight:
     return wt
 
 
-class RootDataSl3(NamedTuple):
-    """Root system constants for sl3 in fundamental-weight coordinates."""
-
-    alpha1: tuple[int, int] = (2, -1)
-    alpha2: tuple[int, int] = (-1, 2)
-    rho: tuple[int, int] = (1, 1)
-
-    @property
-    def positive_roots(self) -> tuple[tuple[int, int], ...]:
-        a1, a2 = self.alpha1, self.alpha2
-        return (a1, a2, (a1[0] + a2[0], a1[1] + a2[1]))
-
-
-ROOT_DATA = RootDataSl3()
+# the Weyl vector and the positive roots a1, a2 and a1 + a2
+_RHO = (1, 1)
+_POSITIVE_ROOTS = ((2, -1), (-1, 2), (1, 1))
 
 
 def pairing(u: tuple[int, int], v: tuple[int, int]) -> Fraction:
@@ -130,12 +118,12 @@ def qdim_weyl(w: WeightLike) -> ScaledLaurent:
     Weyl alternant and the evaluator's stride divisions.
     """
     wt = _as_dominant(w)
-    shifted = (wt.m1 + ROOT_DATA.rho[0], wt.m2 + ROOT_DATA.rho[1])
+    shifted = (wt.m1 + _RHO[0], wt.m2 + _RHO[1])
     num = ScaledLaurent.one()
     den = ScaledLaurent.one()
-    for alpha in ROOT_DATA.positive_roots:
+    for alpha in _POSITIVE_ROOTS:
         top = pairing(shifted, alpha)
-        bot = pairing(ROOT_DATA.rho, alpha)
+        bot = pairing(_RHO, alpha)
         if top.denominator != 1 or bot.denominator != 1:
             raise ArithmeticError(f"non-integral root pairing for weight {wt}")
         num = num * qint(int(top))
@@ -177,7 +165,7 @@ def twist_weyl_check(w: WeightLike) -> bool:
     from fractions import Fraction
 
     wt = _as_dominant(w)
-    shifted = (wt.m1 + 2 * ROOT_DATA.rho[0], wt.m2 + 2 * ROOT_DATA.rho[1])
+    shifted = (wt.m1 + 2 * _RHO[0], wt.m2 + 2 * _RHO[1])
     return (Fraction(1, 2) * pairing(tuple(wt), shifted)
             == Fraction(twist_exponent(wt), 3))
 
@@ -254,7 +242,3 @@ class SignedWeightSum(_Value):
         import json
 
         return json.dumps(self.to_json_dict(), separators=(",", ":"))
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "SignedWeightSum":
-        return cls([((int(m1), int(m2)), int(c)) for m1, m2, c in data["terms"]])

@@ -9,12 +9,13 @@ import time
 from golden_data import GOLDEN_PSI2_5_7, GOLDEN_T23_5_7_QINV
 
 import sl3jones.cli as cli
-from sl3jones import (TorusKnotSpec, degree_report, dimension, jones_rosso,
-                      jones_t2b, psi2_closed, psi2_schur_form, psi_oracle,
-                      qdim_closed, qdim_weyl, signed_dimension,
-                      twist_weyl_check, verify_lemma_LR,
+from sl3jones import (TorusKnotSpec, degree_report, jones_rosso, jones_t2b,
+                      psi2_closed, psi2_schur_form, psi_oracle, qdim_closed,
+                      qdim_weyl, twist_weyl_check, verify_lemma_LR,
                       verify_lemma_psi2_recurrence)
 from sl3jones.laurent import ScaledLaurent
+from sl3jones.plethysm2 import signed_dimension
+from sl3jones.sl3rep import dimension
 
 
 def verdict(n, name, ok, detail=""):

@@ -117,6 +117,8 @@ def test_jones_t2b_validation():
         jones_t2b(-3, (1, 0))
     with pytest.raises(ValueError):
         jones_t2b(3, (-1, 0))
+    with pytest.raises(TypeError):  # TorusKnotSpec's check
+        jones_t2b(3.0, (1, 0))
 
 
 # -- unknot and normalization ----------------------------------------------
@@ -386,7 +388,7 @@ def test_six_term_weyl_numerator(n1, n2, h, t):
                                 (t - u, -1), (t - v, -1), (t - u - v, 1)])
     product = (bracket(h, n1 + 1) * bracket(h, n2 + 1)
                * bracket(h, n1 + n2 + 2))
-    assert six == -(product * ScaledLaurent.monomial(2 * h, t))
+    assert six == -(product * ScaledLaurent(2 * h, {t: 1}))
 
 
 def test_matches_plethysm_route():

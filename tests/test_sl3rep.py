@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sl3jones.laurent import ScaledLaurent
-from sl3jones.sl3rep import (ROOT_DATA, SignedWeightSum, Weight, dimension,
-                             pairing, qdim_closed, qdim_weyl, qint,
+from sl3jones.sl3rep import (_POSITIVE_ROOTS, _RHO, SignedWeightSum, Weight,
+                             dimension, pairing, qdim_closed, qdim_weyl, qint,
                              twist_exponent, twist_monomial, twist_weyl_check)
 
 weights = st.tuples(st.integers(min_value=0, max_value=12),
@@ -19,10 +19,10 @@ weights = st.tuples(st.integers(min_value=0, max_value=12),
 
 
 def test_root_data():
-    assert ROOT_DATA.alpha1 == (2, -1)
-    assert ROOT_DATA.alpha2 == (-1, 2)
-    assert ROOT_DATA.rho == (1, 1)
-    assert ROOT_DATA.positive_roots == ((2, -1), (-1, 2), (1, 1))
+    # a1, a2 and a1 + a2; rho is half their sum
+    assert _POSITIVE_ROOTS == ((2, -1), (-1, 2), (1, 1))
+    assert _RHO == (1, 1)
+    assert tuple(sum(r[i] for r in _POSITIVE_ROOTS) for i in (0, 1)) == (2, 2)
 
 
 def test_pairing_values():
@@ -197,4 +197,5 @@ def test_signed_weight_sum_text():
 
 def test_signed_weight_sum_json_round_trip():
     s = SignedWeightSum({(2, 2): 1, (0, 3): -1})
-    assert SignedWeightSum.from_json_dict(s.to_json_dict()) == s
+    d = s.to_json_dict()
+    assert SignedWeightSum([((m1, m2), c) for m1, m2, c in d["terms"]]) == s

@@ -16,14 +16,12 @@ import pytest
 from sl3jones.jones import (ColoredJonesResult, DegreeReport, TorusKnotSpec,
                             degree_report, jones_rosso, jones_t2b)
 from sl3jones.laurent import ScaledLaurent, _Value
-from sl3jones.sl3rep import ROOT_DATA, RootDataSl3, SignedWeightSum, Weight
+from sl3jones.sl3rep import SignedWeightSum, Weight
 
 T23 = jones_t2b(3, (1, 0))
 
 VALUES = [
     Weight(3, 5),
-    ROOT_DATA,
-    RootDataSl3((1, 0), (0, 1), (2, 2)),
     TorusKnotSpec(2, 3),
     T23,
     T23.mirrored(),
@@ -52,7 +50,7 @@ def test_pickle_and_copy_round_trip(value):
 
 def test_every_public_value_type_is_covered():
     assert {type(v) for v in VALUES} == {
-        Weight, RootDataSl3, TorusKnotSpec, ColoredJonesResult, DegreeReport,
+        Weight, TorusKnotSpec, ColoredJonesResult, DegreeReport,
         ScaledLaurent, SignedWeightSum}
 
 
@@ -82,7 +80,7 @@ def test_reprs():
         "ColoredJonesResult(value=ScaledLaurent(1, '-1*q^-6 + 1*q^-4 + "
         "1*q^-2'), knot=TorusKnotSpec(a=2, b=3), color=Weight(m1=1, m2=0),"
         " variable='q')")
-    assert repr(VALUES[7]) == (
+    assert repr(VALUES[5]) == (
         "ColoredJonesResult(value=ScaledLaurent(2, '3*q^(1/2)'), "
         "knot=TorusKnotSpec(a=3, b=4), color=Weight(m1=0, m2=2), "
         "variable='qinv')")
@@ -127,7 +125,7 @@ def test_attribute_writes_raise(value, names):
 
 
 def test_mirrored_twice_is_the_identity():
-    for r in VALUES[4:8]:
+    for r in VALUES[2:6]:
         assert r.mirrored().mirrored() == r
         assert r.mirrored().variable != r.variable
         assert r.mirrored().value == r.value.mirror()
@@ -137,6 +135,20 @@ def test_keyword_construction_and_default_variable():
     r = ColoredJonesResult(value=T23.value, knot=TorusKnotSpec(a=2, b=3),
                            color=Weight(1, 0))
     assert r == T23 and r.variable == "q"
+
+
+def test_plain_tuple_knot_and_color_write_the_same_json():
+    # a tuple knot or color becomes the TorusKnotSpec or Weight it names
+    value = ScaledLaurent(1, {0: 1})
+    ref = ColoredJonesResult(value, TorusKnotSpec(2, 3), Weight(1, 0))
+    for knot, color in [((2, 3), (1, 0)), (TorusKnotSpec(2, 3), (1, 0)),
+                        ((2, 3), Weight(1, 0))]:
+        r = ColoredJonesResult(value, knot, color)
+        assert r == ref and hash(r) == hash(ref)
+        assert type(r.knot) is TorusKnotSpec and type(r.color) is Weight
+        assert r.to_json() == ref.to_json()
+        assert r.to_json_dict() == ref.to_json_dict()
+        assert pickle.loads(pickle.dumps(r)).to_json() == ref.to_json()
 
 
 @pytest.mark.parametrize("build, exc, message", [
