@@ -4,11 +4,12 @@ Both routes evaluate the Rosso-Jones sum for T(a, b) at color w,
 theta(w)^(-ab) / qdim(w) * sum_mu c_mu qdim(mu) theta(mu)^(b/a), over a
 signed multiset of weights mu: jones_t2b over the second-plethysm
 expansion of V_w, summed row by row (_psi2_row), jones_rosso over the
-Adams image a*nu of every weight nu of V_w, taken from the
-Gelfand-Tsetlin character schur.  The summand is anti-invariant under
-the Weyl group acting on mu + rho, so the weight form needs no Schur
-decomposition: straightening the Adams image into irreducibles, as the
-schur3 oracle psi_oracle does, gives the same sum.  With
+Adams image a*nu of every weight nu of V_w, streamed from the
+Gelfand-Tsetlin character (schur3._schur_terms).  The summand is
+anti-invariant under the Weyl group acting on mu + rho, so the weight
+form needs no Schur decomposition: straightening the Adams image into
+irreducibles, as the schur3 oracle psi_oracle does, gives the same
+sum.  With
 {n} = q^(n/2) - q^(-n/2), each quantum dimension is
 {m1+1}{m2+1}{m1+m2+2} / ({1}^3 [2]) and the shared denominator cancels.
 Since m1+m2+2 = (m1+1) + (m2+1), the product {A}{B}{A+B} is the six-term
@@ -78,7 +79,7 @@ from .laurent import (InexactDivisionError, LaurentError,
                       UndefinedDegreeError, Write, _DenseTerms, _joined,
                       _Value)
 from .plethysm2 import _psi2_row
-from .schur3 import schur
+from .schur3 import _schur_terms
 from .sl3rep import Weight, WeightLike, _as_dominant, _as_weight, _twist3
 
 __all__ = [
@@ -113,7 +114,10 @@ class TorusKnotSpec(_Value):
 class ColoredJonesResult(_Value):
     """An exact colored invariant value with its provenance.
 
-    value is integer-reduced (scale 1); variable records whether the
+    value may have any scale: the constructor accepts it as given, and
+    the writers are tested on fractional ones.  Every route of the
+    package (jones_t2b, jones_rosso, the table's diagonals and mirrored)
+    returns it integer-reduced, scale 1.  variable records whether the
     exponents are powers of q or of 1/q.  A plain (a, b) knot becomes a
     TorusKnotSpec and a plain (m1, m2) color a Weight, so every form
     writes the same JSON.  Immutable; equal, hashed and printed by its
@@ -443,16 +447,17 @@ def jones_rosso(knot: TorusKnotSpec, color: WeightLike) -> ColoredJonesResult:
     The same Rosso-Jones sum as jones_t2b, in weight form: over the Adams
     image a*nu of every weight nu of V_w, with its multiplicity, on the
     1/(6a) lattice.  The weights are the Gelfand-Tsetlin monomials of
-    the character s_(m1+m2, m2, 0); none is straightened, so the cost
-    grows with dim(V_w) and no Schur decomposition is made.  For a = 2
-    the result equals jones_t2b.
+    the character s_(m1+m2, m2, 0), read as a stream into the map of
+    Adams images, so the character itself is never stored; none is
+    straightened, so the cost grows with dim(V_w) and no Schur
+    decomposition is made.  For a = 2 the result equals jones_t2b.
     """
     if not isinstance(knot, TorusKnotSpec):
         knot = TorusKnotSpec(*knot)
     w = _as_dominant(color)
     a = knot.a
     weights = {(a * (e1 - e2), a * (e2 - e3)): c
-               for (e1, e2, e3), c in schur((w.m1 + w.m2, w.m2, 0)).items()}
+               for (e1, e2, e3), c in _schur_terms((w.m1 + w.m2, w.m2, 0))}
     value = _rosso_jones(weights, a, knot.b, w)
     return ColoredJonesResult(value, knot, w, "q")
 

@@ -21,22 +21,25 @@ character and decomposes the result; it is the independent cross-check
 for the closed second-plethysm formula in the plethysm2 module, and for
 the weight form of the invariant in the jones module, which sums the
 Adams image with no decomposition.
-Both the characters and the decomposed Adams images are memoized per
-process, in lru_caches of 4096 entries.  The recurrence check reads
-psi2 of s_{m1,m2}, s_{m1+1,m2}, s_{m1-1,m2-1} and s_{m1,m2+1}, which
-psi_oracle decomposes too (as V_(m1-m2, m2)), so in a session that runs
-both, as selfcheck and the benchmark's oracle list do, the recurrence
-rereads psi_oracle's decompositions instead of redoing them; it still
-multiplies one of them by p_2 and compares both sides as weights.
-decompose_schur itself is not memoized and checks symmetry on every
-call.
+A character is not memoized: _schur_terms hands its monomials out as
+a stream, which schur collects into a dict and jones_rosso folds
+straight into its Adams weight map, so no request keeps a character
+alive after it returns, whatever its size.  The decomposed Adams
+images are memoized per process, in an lru_cache of 4096 entries.  The
+recurrence check reads psi2 of s_{m1,m2}, s_{m1+1,m2}, s_{m1-1,m2-1}
+and s_{m1,m2+1}, which psi_oracle decomposes too (as V_(m1-m2, m2)),
+so in a session that runs both, as selfcheck and the benchmark's
+oracle list do, the recurrence rereads psi_oracle's decompositions
+instead of redoing them; it still multiplies one of them by p_2 and
+compares both sides as weights.  decompose_schur itself is not
+memoized and checks symmetry on every call.
 """
 
 from __future__ import annotations
 
 import functools
 from itertools import chain, repeat
-from typing import Dict, Tuple
+from typing import Dict, Iterator, Tuple
 
 from .sl3rep import SignedWeightSum, Weight, WeightLike, _as_dominant
 
@@ -62,6 +65,11 @@ _DELTA = (2, 1, 0)
 
 # the power sum p2 = psi2(s_1) = s_2 - s_(1,1), three monomials
 _P2: SymPoly3 = {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1}
+# the Pieri factors s_1, s_2 = h_2 and s_(1,1) = e_2
+_S1: SymPoly3 = {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}
+_S2: SymPoly3 = {(2, 0, 0): 1, (1, 1, 0): 1, (1, 0, 1): 1, (0, 2, 0): 1,
+                 (0, 1, 1): 1, (0, 0, 2): 1}
+_S11: SymPoly3 = {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1}
 
 
 class NotSymmetricError(ValueError):
@@ -128,8 +136,13 @@ def straighten(lam: GLIndex) -> tuple[int, GLIndex] | None:
     return sign, (a - 2, b - 1, c)
 
 
-@functools.lru_cache(maxsize=4096)
-def _schur_cached(lam: GLIndex) -> tuple[tuple[GLIndex, int], ...]:
+def _schur_terms(lam: GLIndex) -> Iterator[tuple[GLIndex, int]]:
+    """The (monomial, count) terms of s_lam, lexicographic, as a stream.
+
+    A plain function that returns an iterator, not a generator: a
+    negative shifted exponent raises ValueError at the call.  Nothing is
+    kept once the stream is consumed.
+    """
     if min(lam[i] + _DELTA[i] for i in range(3)) < 0:
         raise ValueError(f"Schur index {lam} has negative shifted exponents")
     if lam[0] >= lam[1] >= lam[2]:  # a partition straightens to itself
@@ -137,7 +150,7 @@ def _schur_cached(lam: GLIndex) -> tuple[tuple[GLIndex, int], ...]:
     else:
         st = straighten(lam)
         if st is None:
-            return ()
+            return iter(())
         sign, (l1, l2, l3) = st
     # Gelfand-Tsetlin patterns: l1 >= k1 >= l2 >= k2 >= l3, k1 >= k >= k2;
     # the weight is (k, s - k, |l| - s) with s = k1 + k2.  For fixed k and
@@ -166,7 +179,7 @@ def _schur_cached(lam: GLIndex) -> tuple[tuple[GLIndex, int], ...]:
         monomials = zip(repeat(k), range(lo - k, hi - k + 1),
                         range(total - lo, total - hi - 1, -1))
         runs.append(zip(monomials, counts))
-    return tuple(chain.from_iterable(runs))
+    return chain.from_iterable(runs)
 
 
 def schur(lam: GLIndex) -> SymPoly3:
@@ -180,7 +193,7 @@ def schur(lam: GLIndex) -> SymPoly3:
     lam = tuple(lam)
     if len(lam) != 3 or not all(isinstance(e, int) for e in lam):
         raise TypeError(f"Schur index must be three ints, got {lam!r}")
-    return dict(_schur_cached(lam))
+    return dict(_schur_terms(lam))
 
 
 def _straighten_sum(pairs) -> dict[GLIndex, int]:
@@ -252,12 +265,12 @@ def _weights(pairs) -> SignedWeightSum:
 def _adams_decomposed(lam: GLIndex, a: int) -> tuple[tuple[GLIndex, int], ...]:
     """The Schur expansion of psi^a(s_lam) as (partition, c) pairs.
 
-    Memoized: psi_oracle and verify_lemma_psi2_recurrence read the same
-    Adams images, and each is decomposed once per process.  schur, adams
-    and decompose_schur are called through the module's globals, so a
-    rebound name is seen on every miss; decompose_schur checks symmetry
-    on every call it gets.  The entry is a tuple, which no reader can
-    change.
+    Memoized, unlike the character it is built from: psi_oracle and
+    verify_lemma_psi2_recurrence read the same Adams images, and each is
+    decomposed once per process.  schur, adams and decompose_schur are
+    called through the module's globals, so a rebound name is seen on
+    every miss; decompose_schur checks symmetry on every call it gets.
+    The entry is a tuple, which no reader can change.
     """
     return tuple(decompose_schur(adams(schur(lam), a)).items())
 
@@ -268,7 +281,8 @@ def psi_oracle(w: WeightLike, a: int) -> SignedWeightSum:
     Builds the character as s_{(m1+m2, m2, 0)}, applies x_i -> x_i^a and
     decomposes back into Schur terms, returned as dominant sl3 weights
     (l1 - l2, l2 - l3) with signed multiplicities.  The decomposition is
-    memoized per process (_adams_decomposed).
+    memoized per process (_adams_decomposed); the character is rebuilt
+    on every miss and dropped once it is decomposed.
     """
     wt = _as_dominant(w)
     if not isinstance(a, int) or a < 1:
@@ -297,7 +311,7 @@ def verify_lemma_LR(m1: int, m2: int) -> bool:
                                         for c, a, b in terms).items())
 
     one_box = row([(1, m1 + 1, 0), (1, m1, 1)])
-    if times((m1, 0, 0), schur((1, 0, 0))) != one_box:
+    if times((m1, 0, 0), _S1) != one_box:
         return False
 
     if m2 == 0:
@@ -328,8 +342,8 @@ def verify_lemma_LR(m1: int, m2: int) -> bool:
         )
 
     lam = (m1, m2, 0)
-    return (times(lam, schur((2, 0, 0))) == row(rows[0])
-            and times(lam, schur((1, 1, 0))) == row(rows[1])
+    return (times(lam, _S2) == row(rows[0])
+            and times(lam, _S11) == row(rows[1])
             and times(lam, _P2) == row(rows[2]))
 
 

@@ -6,14 +6,13 @@ from sl3jones import schur3
 
 
 def clear_schur3_memos():
-    """Empty both schur3 memos: the characters and the Adams images."""
-    schur3._schur_cached.cache_clear()
+    """Empty the schur3 memo of Adams images; characters are not kept."""
     schur3._adams_decomposed.cache_clear()
 
 
 @pytest.fixture
 def cold_schur3_memos():
-    """Both schur3 memos empty when the test starts, and again after it.
+    """The schur3 memo of Adams images empty at the start and the end.
 
     Every test that patches a schur3 function takes this fixture: a warm
     entry built by the real function would hide the patch, and an entry

@@ -1,13 +1,14 @@
 """Colored invariants: closed form, weight form, oracle route, reports."""
 
+import gc
 import sys
+import tracemalloc
 from math import gcd, isqrt
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import clear_schur3_memos
 from sl3jones import jones, schur3
 from sl3jones.jones import (ColoredJonesResult, TorusKnotSpec, _add_numerator,
                             _div_stride, _evaluate, _Numerator, _rosso_jones,
@@ -484,8 +485,24 @@ def test_jones_rosso_makes_no_schur_decomposition(monkeypatch,
     for name in ("decompose_schur", "straighten", "is_symmetric"):
         monkeypatch.setattr(schur3, name, refuse)
     monkeypatch.setattr(SignedWeightSum, "__init__", refuse)
-    clear_schur3_memos()  # the character is rebuilt, too
     assert [jones_rosso(knot, w).value for knot, w in cases] == want
+
+
+def test_jones_rosso_keeps_no_character():
+    # each character is streamed into the map of Adams images, so
+    # nothing built for one color outlives its call
+    knot = TorusKnotSpec(3, 4)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for m1 in range(16):
+            for m2 in range(16):
+                jones_rosso(knot, (m1, m2))
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert left < 64 * 1024, left
 
 
 # -- the diagonal chain --------------------------------------------------------
@@ -863,6 +880,16 @@ def test_mirrored_round_trip():
     assert m.variable == "qinv"
     assert m.value == res.value.mirror()
     assert m.mirrored().value == res.value
+
+
+def test_every_route_returns_an_integer_reduced_value():
+    results = [jones_t2b(b, w) for b in (1, 3, 5) for w in ((0, 0), (2, 1))]
+    results += [jones_rosso(TorusKnotSpec(a, b), w)
+                for a, b in ((2, 5), (3, 4), (4, 5)) for w in ((0, 0), (2, 1),
+                                                               (3, 3))]
+    results += _t2b_diagonal(7, (3, 5))
+    results += [r.mirrored() for r in results]
+    assert all(r.value.scale == 1 for r in results)
 
 
 def test_result_json_shape():

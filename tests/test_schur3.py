@@ -90,9 +90,10 @@ def test_schur_counts_match_the_pattern_loop():
               if not lam[0] >= lam[1] >= lam[2]]
     for lam in parts + others:
         want = schur_reference(lam)
-        # the cached tuple is already in lexicographic order, one entry
-        # per monomial, with no zero multiplicity
-        assert schur3._schur_cached(lam) == tuple(sorted(want.items())), lam
+        # the stream is already in lexicographic order, one entry per
+        # monomial, with no zero multiplicity
+        assert tuple(schur3._schur_terms(lam)) == \
+            tuple(sorted(want.items())), lam
 
 
 def test_weights_is_what_the_constructor_builds():
@@ -258,6 +259,12 @@ def test_decompose_product_round_trip(lam, mu):
 def test_p2_is_second_adams_image_of_s1():
     assert schur3._P2 == adams(schur((1, 0, 0)), 2)
     assert decompose_schur(schur3._P2) == {(2, 0, 0): 1, (1, 1, 0): -1}
+
+
+def test_pieri_factors_are_their_schur_polynomials():
+    assert schur3._S1 == schur((1, 0, 0))
+    assert schur3._S2 == schur((2, 0, 0))
+    assert schur3._S11 == schur((1, 1, 0))
 
 
 # -- Brauer-Klimyk products ------------------------------------------------
@@ -444,7 +451,7 @@ def test_psi2_recurrence_precondition():
 def oracle_answers(cold):
     """psi_oracle for a = 2 over 0..10^2 and a = 3 over 0..6^2, then the
     recurrence over m1 <= 10: the oracle's share of the benchmark's
-    request list.  With cold, both memos are emptied before every call.
+    request list.  With cold, the memo is emptied before every call.
     """
     calls = [(psi_oracle, (m1, m2), a) for a, mx in ((2, 10), (3, 6))
              for m1 in range(mx + 1) for m2 in range(mx + 1)]
