@@ -25,7 +25,9 @@ A character is not memoized: _schur_terms hands its monomials out as
 a stream, which schur collects into a dict and jones_rosso folds
 straight into its Adams weight map, so no request keeps a character
 alive after it returns, whatever its size.  The decomposed Adams
-images are memoized per process, in an lru_cache of 4096 entries.  The
+images are memoized per process, in an lru_cache of 4096 entries; each
+entry is one flat tuple of ints, four per partition (l1, l2, l3, c),
+which its readers take four at a time without rebuilding any pair.  The
 recurrence check reads psi2 of s_{m1,m2}, s_{m1+1,m2}, s_{m1-1,m2-1}
 and s_{m1,m2+1}, which psi_oracle decomposes too (as V_(m1-m2, m2)),
 so in a session that runs both, as selfcheck and the benchmark's
@@ -119,21 +121,12 @@ def straighten(lam: GLIndex) -> tuple[int, GLIndex] | None:
 
     Adds the staircase (2, 1, 0), sorts, and subtracts it back; a repeated
     shifted exponent means the alternant vanishes and None is returned.
-    The sort is three compare-and-swaps, each flipping the sign.  An
+    The signed sort is _straighten_sum's, on the one term (lam, 1).  An
     index without exactly three entries raises ValueError.
     """
-    l1, l2, l3 = lam
-    a, b, c = l1 + 2, l2 + 1, l3
-    if a == b or b == c or a == c:
-        return None
-    sign = 1
-    if a < b:
-        a, b, sign = b, a, -sign
-    if b < c:
-        b, c, sign = c, b, -sign
-        if a < b:
-            a, b, sign = b, a, -sign
-    return sign, (a - 2, b - 1, c)
+    for part, sign in _straighten_sum(((lam, 1),)).items():
+        return sign, part
+    return None
 
 
 def _schur_terms(lam: GLIndex) -> Iterator[tuple[GLIndex, int]]:
@@ -199,15 +192,25 @@ def schur(lam: GLIndex) -> SymPoly3:
 def _straighten_sum(pairs) -> dict[GLIndex, int]:
     """Sum c * s_lam over (lam, c) pairs in the partition basis.
 
-    Each index adds c times the sign of straighten(lam) at its
-    partition, or nothing when it straightens to zero.
+    Each index adds c times the sign of its straightening at its
+    partition, or nothing when it straightens to zero: the shifted
+    exponents (l1 + 2, l2 + 1, l3) are sorted by three compare-and-swaps,
+    each flipping the sign, and a repeated one kills the term.
     """
     out: dict[GLIndex, int] = {}
-    for lam, c in pairs:
-        st = straighten(lam)
-        if st is not None:
-            sign, part = st
-            out[part] = out.get(part, 0) + sign * c
+    get = out.get
+    for (l1, l2, l3), c in pairs:
+        a, b = l1 + 2, l2 + 1
+        if a == b or b == l3 or a == l3:
+            continue
+        if a < b:
+            a, b, c = b, a, -c
+        if b < l3:
+            b, l3, c = l3, b, -c
+            if a < b:
+                a, b, c = b, a, -c
+        part = (a - 2, b - 1, l3)
+        out[part] = get(part, 0) + c
     return {p: c for p, c in out.items() if c}
 
 
@@ -242,18 +245,22 @@ def _product(f: dict[GLIndex, int], g: SymPoly3) -> dict[GLIndex, int]:
                            for (n1, n2, n3), d in g.items())
 
 
-def _weights(pairs) -> SignedWeightSum:
-    """(partition, c) pairs as a signed sum of sl3 weights.
+def _weights(pairs, quads=()) -> SignedWeightSum:
+    """(partition, c) pairs, then (l1, l2, l3, c) quads, as sl3 weights.
 
     A partition (l1, l2, l3) is the dominant weight (l1 - l2, l2 - l3).
     Determinant powers act trivially on sl3 characters: partitions one
     full column apart give the same weight, so their multiplicities are
     added here.  A partition's weight is dominant, so the merged sum is
-    built with _trusted.
+    built with _trusted.  The quads are the four-int groups of a memo
+    entry, read with no pair built for them.
     """
     out: dict[Weight, int] = {}
     get, make = out.get, Weight._make
     for (l1, l2, l3), c in pairs:
+        w = make((l1 - l2, l2 - l3))
+        out[w] = get(w, 0) + c
+    for l1, l2, l3, c in quads:
         w = make((l1 - l2, l2 - l3))
         out[w] = get(w, 0) + c
     if 0 in out.values():  # a scan is cheaper than always copying
@@ -261,18 +268,30 @@ def _weights(pairs) -> SignedWeightSum:
     return SignedWeightSum._trusted(out)
 
 
-@functools.lru_cache(maxsize=4096)
-def _adams_decomposed(lam: GLIndex, a: int) -> tuple[tuple[GLIndex, int], ...]:
-    """The Schur expansion of psi^a(s_lam) as (partition, c) pairs.
+def _quads(flat) -> Iterator[tuple[int, int, int, int]]:
+    """The (l1, l2, l3, c) groups of a flat run of ints, four at a time."""
+    it = iter(flat)
+    return zip(it, it, it, it)
 
-    Memoized, unlike the character it is built from: psi_oracle and
-    verify_lemma_psi2_recurrence read the same Adams images, and each is
-    decomposed once per process.  schur, adams and decompose_schur are
-    called through the module's globals, so a rebound name is seen on
-    every miss; decompose_schur checks symmetry on every call it gets.
-    The entry is a tuple, which no reader can change.
+
+@functools.lru_cache(maxsize=4096)
+def _adams_decomposed(lam: GLIndex, a: int) -> tuple[int, ...]:
+    """The Schur expansion of psi^a(s_lam), flat: (l1, l2, l3, c, ...).
+
+    Four ints per partition of the expansion, its three parts and its
+    coefficient, in one tuple: a quarter of the bytes of a tuple of
+    ((l1, l2, l3), c) pairs, and the readers take the groups with
+    _quads.  Memoized, unlike the character it is built from:
+    psi_oracle and verify_lemma_psi2_recurrence read the same Adams
+    images, and each is decomposed once per process.  schur, adams and
+    decompose_schur are called through the module's globals, so a
+    rebound name is seen on every miss; decompose_schur checks symmetry
+    on every call it gets.  The entry is a tuple, which no reader can
+    change.
     """
-    return tuple(decompose_schur(adams(schur(lam), a)).items())
+    return tuple(chain.from_iterable(
+        (l1, l2, l3, c) for (l1, l2, l3), c
+        in decompose_schur(adams(schur(lam), a)).items()))
 
 
 def psi_oracle(w: WeightLike, a: int) -> SignedWeightSum:
@@ -281,13 +300,16 @@ def psi_oracle(w: WeightLike, a: int) -> SignedWeightSum:
     Builds the character as s_{(m1+m2, m2, 0)}, applies x_i -> x_i^a and
     decomposes back into Schur terms, returned as dominant sl3 weights
     (l1 - l2, l2 - l3) with signed multiplicities.  The decomposition is
-    memoized per process (_adams_decomposed); the character is rebuilt
-    on every miss and dropped once it is decomposed.
+    memoized per process as one flat tuple of ints (_adams_decomposed),
+    whose four-int groups are read straight into the weight map; the
+    character is rebuilt on every miss and dropped once it is
+    decomposed.
     """
     wt = _as_dominant(w)
     if not isinstance(a, int) or a < 1:
         raise ValueError(f"Adams degree must be a positive integer, got {a!r}")
-    return _weights(_adams_decomposed((wt.m1 + wt.m2, wt.m2, 0), a))
+    entry = _adams_decomposed((wt.m1 + wt.m2, wt.m2, 0), a)
+    return _weights((), _quads(entry))
 
 
 def verify_lemma_LR(m1: int, m2: int) -> bool:
@@ -352,7 +374,8 @@ def verify_lemma_psi2_recurrence(m1: int, m2: int) -> bool:
 
     psi2(s_{m1,m2+1}) = psi2(s_{m1,m2}) * p_2
                         - psi2(s_{m1+1,m2}) - psi2(s_{m1-1,m2-1})
-    with p_2 = s_2 - s_{1,1}, compared as signed sums of sl3 weights;
+    with p_2 = s_2 - s_{1,1}, compared as signed sums of sl3 weights
+    with the two subtracted images moved to the left-hand side;
     requires m1 >= m2 + 1 >= 1.  For m2 = 0 the last term has index
     (m1-1, -1), which straightens to the zero polynomial, so it drops out
     on its own.
@@ -360,10 +383,10 @@ def verify_lemma_psi2_recurrence(m1: int, m2: int) -> bool:
     if not (isinstance(m1, int) and isinstance(m2, int) and m1 >= m2 + 1 >= 1):
         raise ValueError(f"recurrence needs m1 >= m2 + 1 >= 1, got ({m1}, {m2})")
 
-    def psi2(a, b):  # the (partition, c) pairs of psi2(s_{a,b})
+    def psi2(a, b):  # the flat (l1, l2, l3, c) groups of psi2(s_{a,b})
         return _adams_decomposed((a, b, 0), 2)
 
-    rhs = list(_product(dict(psi2(m1, m2)), _P2).items())
-    for a, b in ((m1 + 1, m2), (m1 - 1, m2 - 1)):
-        rhs += [(part, -c) for part, c in psi2(a, b)]
-    return _weights(psi2(m1, m2 + 1)) == _weights(rhs)
+    product = _product({(l1, l2, l3): c
+                        for l1, l2, l3, c in _quads(psi2(m1, m2))}, _P2)
+    left = chain(psi2(m1, m2 + 1), psi2(m1 + 1, m2), psi2(m1 - 1, m2 - 1))
+    return _weights((), _quads(left)) == _weights(product.items())

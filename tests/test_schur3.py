@@ -1,5 +1,6 @@
 """Schur polynomials, straightening, decomposition, Adams plethysm."""
 
+import tracemalloc
 from itertools import permutations, product
 
 import pytest
@@ -103,12 +104,14 @@ def test_weights_is_what_the_constructor_builds():
     for m1, m2, a in ((0, 0, 2), (3, 1, 2), (2, 4, 3), (5, 5, 4)):
         pairs += decompose_schur(adams(schur((m1 + m2, m2, 0)), a)).items()
     for cut in range(len(pairs) + 1):
-        got = schur3._weights(pairs[:cut])
         public = SignedWeightSum([((l1 - l2, l2 - l3), c)
                                   for (l1, l2, l3), c in pairs[:cut]])
-        assert got == public and hash(got) == hash(public)
-        assert got._terms == public._terms
-        assert all(type(w) is Weight and c for w, c in got._terms.items())
+        # the same terms as pairs, and as the four-int groups of a memo entry
+        quads = [(*part, c) for part, c in pairs[:cut]]
+        for got in (schur3._weights(pairs[:cut]), schur3._weights((), quads)):
+            assert got == public and hash(got) == hash(public)
+            assert got._terms == public._terms
+            assert all(type(w) is Weight and c for w, c in got._terms.items())
 
 
 # -- straightening --------------------------------------------------------
@@ -525,4 +528,32 @@ def test_a_memo_entry_is_left_as_it_was_read(cold_schur3_memos):
         assert verify_lemma_psi2_recurrence(m1, m2), (m1, m2)
     assert schur3._adams_decomposed.cache_info().hits >= hits + 5
     assert schur3._adams_decomposed((4, 1, 0), 2) is entry
-    assert entry == tuple(decompose_schur(adams(schur((4, 1, 0)), 2)).items())
+    assert entry == tuple(x for part, c in
+                          decompose_schur(adams(schur((4, 1, 0)), 2)).items()
+                          for x in (*part, c))
+
+
+def test_the_memo_keeps_flat_entries_in_little_memory(cold_schur3_memos):
+    # the 181 images of the oracle's share of the benchmark, each one
+    # tuple of four ints per partition: about 0.24 MiB, where tuples of
+    # ((l1, l2, l3), c) pairs held 0.82 MiB
+    images = {((m1 + m2, m2, 0), a) for a, mx in ((2, 10), (3, 6))
+              for m1 in range(mx + 1) for m2 in range(mx + 1)}
+    images |= {((m1 + dx, m2 + dy, 0), 2) for m1 in range(1, 11)
+               for m2 in range(m1)
+               for dx, dy in ((0, 0), (1, 0), (-1, -1), (0, 1))}
+    tracemalloc.start()
+    try:
+        answers = oracle_answers(cold=False)
+        assert schur3._adams_decomposed.cache_info().currsize == len(images)
+        held = tracemalloc.get_traced_memory()[0]
+        schur3._adams_decomposed.cache_clear()
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert all(ok for ok in answers if type(ok) is bool)
+    assert freed < 0.4 * 2**20, freed
+    for lam, a in images:
+        entry = schur3._adams_decomposed(lam, a)
+        assert type(entry) is tuple and len(entry) % 4 == 0, (lam, a)
+        assert all(type(x) is int for x in entry), (lam, a)
