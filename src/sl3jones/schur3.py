@@ -27,7 +27,7 @@ straight into its Adams weight map, so no request keeps a character
 alive after it returns, whatever its size.  The decomposed Adams
 images are memoized per process, in an lru_cache of 4096 entries; each
 entry is one flat tuple of ints, four per partition (l1, l2, l3, c),
-which its readers take four at a time without rebuilding any pair.  The
+which its readers take back as (partition, c) pairs one at a time.  The
 recurrence check reads psi2 of s_{m1,m2}, s_{m1+1,m2}, s_{m1-1,m2-1}
 and s_{m1,m2+1}, which psi_oracle decomposes too (as V_(m1-m2, m2)),
 so in a session that runs both, as selfcheck and the benchmark's
@@ -245,22 +245,18 @@ def _product(f: dict[GLIndex, int], g: SymPoly3) -> dict[GLIndex, int]:
                            for (n1, n2, n3), d in g.items())
 
 
-def _weights(pairs, quads=()) -> SignedWeightSum:
-    """(partition, c) pairs, then (l1, l2, l3, c) quads, as sl3 weights.
+def _weights(pairs) -> SignedWeightSum:
+    """(partition, c) pairs as a signed sum of sl3 weights.
 
     A partition (l1, l2, l3) is the dominant weight (l1 - l2, l2 - l3).
     Determinant powers act trivially on sl3 characters: partitions one
     full column apart give the same weight, so their multiplicities are
     added here.  A partition's weight is dominant, so the merged sum is
-    built with _trusted.  The quads are the four-int groups of a memo
-    entry, read with no pair built for them.
+    built with _trusted.
     """
     out: dict[Weight, int] = {}
     get, make = out.get, Weight._make
     for (l1, l2, l3), c in pairs:
-        w = make((l1 - l2, l2 - l3))
-        out[w] = get(w, 0) + c
-    for l1, l2, l3, c in quads:
         w = make((l1 - l2, l2 - l3))
         out[w] = get(w, 0) + c
     if 0 in out.values():  # a scan is cheaper than always copying
@@ -268,10 +264,10 @@ def _weights(pairs, quads=()) -> SignedWeightSum:
     return SignedWeightSum._trusted(out)
 
 
-def _quads(flat) -> Iterator[tuple[int, int, int, int]]:
-    """The (l1, l2, l3, c) groups of a flat run of ints, four at a time."""
+def _pairs(flat) -> Iterator[tuple[GLIndex, int]]:
+    """The (partition, c) pairs of a flat run of ints, four at a time."""
     it = iter(flat)
-    return zip(it, it, it, it)
+    return (((l1, l2, l3), c) for l1, l2, l3, c in zip(it, it, it, it))
 
 
 @functools.lru_cache(maxsize=4096)
@@ -280,8 +276,8 @@ def _adams_decomposed(lam: GLIndex, a: int) -> tuple[int, ...]:
 
     Four ints per partition of the expansion, its three parts and its
     coefficient, in one tuple: a quarter of the bytes of a tuple of
-    ((l1, l2, l3), c) pairs, and the readers take the groups with
-    _quads.  Memoized, unlike the character it is built from:
+    ((l1, l2, l3), c) pairs, which its readers take one at a time from
+    _pairs.  Memoized, unlike the character it is built from:
     psi_oracle and verify_lemma_psi2_recurrence read the same Adams
     images, and each is decomposed once per process.  schur, adams and
     decompose_schur are called through the module's globals, so a
@@ -300,16 +296,14 @@ def psi_oracle(w: WeightLike, a: int) -> SignedWeightSum:
     Builds the character as s_{(m1+m2, m2, 0)}, applies x_i -> x_i^a and
     decomposes back into Schur terms, returned as dominant sl3 weights
     (l1 - l2, l2 - l3) with signed multiplicities.  The decomposition is
-    memoized per process as one flat tuple of ints (_adams_decomposed),
-    whose four-int groups are read straight into the weight map; the
-    character is rebuilt on every miss and dropped once it is
+    memoized per process as one flat tuple of ints (_adams_decomposed);
+    the character is rebuilt on every miss and dropped once it is
     decomposed.
     """
     wt = _as_dominant(w)
     if not isinstance(a, int) or a < 1:
         raise ValueError(f"Adams degree must be a positive integer, got {a!r}")
-    entry = _adams_decomposed((wt.m1 + wt.m2, wt.m2, 0), a)
-    return _weights((), _quads(entry))
+    return _weights(_pairs(_adams_decomposed((wt.m1 + wt.m2, wt.m2, 0), a)))
 
 
 def verify_lemma_LR(m1: int, m2: int) -> bool:
@@ -386,7 +380,6 @@ def verify_lemma_psi2_recurrence(m1: int, m2: int) -> bool:
     def psi2(a, b):  # the flat (l1, l2, l3, c) groups of psi2(s_{a,b})
         return _adams_decomposed((a, b, 0), 2)
 
-    product = _product({(l1, l2, l3): c
-                        for l1, l2, l3, c in _quads(psi2(m1, m2))}, _P2)
+    product = _product(dict(_pairs(psi2(m1, m2))), _P2)
     left = chain(psi2(m1, m2 + 1), psi2(m1 + 1, m2), psi2(m1 - 1, m2 - 1))
-    return _weights((), _quads(left)) == _weights(product.items())
+    return _weights(_pairs(left)) == _weights(product.items())
