@@ -101,8 +101,10 @@ class TorusKnotSpec(_Value):
     __slots__ = ("a", "b")
 
     def __init__(self, a: int, b: int):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        # a bool or other int subclass is kept as the plain int it equals,
+        # so equal knots write the same text
+        object.__setattr__(self, "a", int(a) if isinstance(a, int) else a)
+        object.__setattr__(self, "b", int(b) if isinstance(b, int) else b)
         if not (isinstance(a, int) and isinstance(b, int)):
             raise TypeError(f"torus parameters must be ints, got {self!r}")
         if a < 1 or b < 1:

@@ -18,12 +18,17 @@ arithmetic is exact; division is long division from the lowest exponent
 and must leave no remainder.
 
 The public constructor checks and normalizes its input, and always keeps
-a dict.  An internal caller that already guarantees the normal form
-(scale reduced, no zero entry, every term an int pair, exponents
-ascending) builds the value with _trusted instead, which runs no check
-and keeps the term map it is given, a dict or a _DenseTerms; _trusted,
-immutability, pickling, equality, hashing and the repr come from _Value,
-the base of the package's slotted value types.
+a dict.  It takes a Mapping or (exponent, coefficient) pairs down one
+path, and so do __add__ and __mul__, which hand it their pairs: the
+stream _int_pairs checks each pair, and _summed adds them up.  _summed
+is the package's one accumulator of signed sums; the sums of schur3,
+plethysm2 and sl3rep go through it too.  An internal caller that
+already guarantees the normal form (scale reduced, no zero entry, every
+term an int pair, exponents ascending) builds the value with _trusted
+instead, which runs no check and keeps the term map it is given, a dict
+or a _DenseTerms; _trusted, immutability, pickling, equality, hashing
+and the repr come from _Value, the base of the package's slotted value
+types.
 write_text and write_json are the one text and the one JSON writer: each
 hands the rendering, straight from the ordered terms, to a write
 callable in chunks of CHUNK_TERMS terms, so a value of any size is
@@ -48,7 +53,7 @@ from __future__ import annotations
 
 from collections.abc import (Callable, Iterable, ItemsView, Iterator, Mapping,
                              ValuesView)
-from itertools import compress, islice, repeat
+from itertools import chain, compress, islice, repeat
 from math import gcd, lcm
 from operator import countOf
 from typing import TYPE_CHECKING, Union
@@ -133,6 +138,22 @@ class _Value:
         fields = ", ".join(f"{name}={value!r}" for name, value
                            in zip(self.__slots__, self._fields()))
         return f"{type(self).__name__}({fields})"
+
+
+def _summed(pairs: Iterable[tuple]) -> dict:
+    """The (key, c) pairs summed by key, with every zero sum dropped.
+
+    The package's one accumulator: every signed sum it builds goes
+    through it.  Keys keep the order they first appear in, pairs may be a
+    one-shot iterator, and a bool c sums into a plain int.
+    """
+    out: dict = {}
+    get = out.get
+    for k, c in pairs:
+        out[k] = get(k, 0) + c
+    if 0 in out.values():  # a scan is cheaper than always copying
+        out = {k: c for k, c in out.items() if c}
+    return out
 
 
 TermsLike = Union[Mapping[int, int], Iterable[tuple[int, int]]]
@@ -258,13 +279,18 @@ class _DenseValues(ValuesView):
         return filter(None, self._mapping._coeffs)
 
 
-def _copied(terms: Mapping[int, int]) -> dict[int, int]:
-    """A dict copy of terms.
+def _int_pairs(pairs: TermsLike) -> Iterator[tuple[int, int]]:
+    """pairs, each checked to be an int pair, as a stream.
 
-    dict(m) copies a dict in C, but reads any other Mapping key by key
-    from Python, where copying its pairs is the faster route.
+    A bool exponent comes out as the plain int it equals, so equal values
+    write the same text; _summed does the same for a coefficient.
     """
-    return dict(terms) if isinstance(terms, dict) else dict(terms.items())
+    for e, c in pairs:
+        if type(e) is not int or type(c) is not int:
+            if not (isinstance(e, int) and isinstance(c, int)):
+                raise TypeError(f"term ({e!r}, {c!r}) is not an int pair")
+            e = int(e)
+        yield e, c
 
 
 def _stretch(terms: Mapping[int, int], k: int) -> dict[int, int]:
@@ -283,22 +309,8 @@ class ScaledLaurent(_Value):
     def __init__(self, scale: int, terms: TermsLike = ()):
         if not isinstance(scale, int) or scale < 1:
             raise ScaleError(f"scale must be a positive integer, got {scale!r}")
-        if isinstance(terms, Mapping):
-            # unique keys: one copy and one check over the distinct types
-            clean = _copied(terms)
-            if not all(issubclass(t, int) for t in
-                       {*map(type, clean), *map(type, clean.values())}):
-                e, c = next((e, c) for e, c in clean.items()
-                            if not (isinstance(e, int) and isinstance(c, int)))
-                raise TypeError(f"term ({e!r}, {c!r}) is not an int pair")
-        else:
-            clean = {}
-            for e, c in terms:
-                if not isinstance(e, int) or not isinstance(c, int):
-                    raise TypeError(f"term ({e!r}, {c!r}) is not an int pair")
-                clean[e] = clean.get(e, 0) + c
-        if 0 in clean.values():  # a scan is cheaper than always copying
-            clean = {e: c for e, c in clean.items() if c}
+        pairs = terms.items() if isinstance(terms, Mapping) else terms
+        scale, clean = int(scale), _summed(_int_pairs(pairs))
         if scale != 1:  # the integer lattice is always reduced
             g = gcd(scale, *clean)
             if g != 1:
@@ -367,10 +379,7 @@ class ScaledLaurent(_Value):
         if not isinstance(other, ScaledLaurent):
             return NotImplemented
         scale, a, b = self._common(other)
-        out = _copied(a)
-        for e, c in b.items():
-            out[e] = out.get(e, 0) + c
-        return ScaledLaurent(scale, out)
+        return ScaledLaurent(scale, chain(a.items(), b.items()))
 
     def __neg__(self) -> "ScaledLaurent":
         return ScaledLaurent._trusted(
@@ -397,12 +406,8 @@ class ScaledLaurent(_Value):
         scale, a, b = self._common(other)
         if len(a) > len(b):
             a, b = b, a
-        out: dict[int, int] = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                k = e1 + e2
-                out[k] = out.get(k, 0) + c1 * c2
-        return ScaledLaurent(scale, out)
+        return ScaledLaurent(scale, ((e1 + e2, c1 * c2) for e1, c1 in a.items()
+                                     for e2, c2 in b.items()))
 
     def __rmul__(self, other) -> "ScaledLaurent":
         if isinstance(other, int):

@@ -13,7 +13,9 @@ merged expansion; on a self-dual diagonal it takes each row folded onto
 half of itself.  psi2_schur_form is the same expansion written
 against two-row Schur indices; it is coded independently so the two can
 be cross-checked term by term, and the schur3 Adams-decompose oracle
-gives a third route.
+gives a third route.  Both forms sum their signed summands through
+laurent's _summed, the package's one accumulator, which is all the code
+they share.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from itertools import chain, cycle
 
+from .laurent import _summed
 from .sl3rep import (SignedWeightSum, Weight, WeightLike, _as_dominant,
                      dimension)
 
@@ -81,16 +84,11 @@ def psi2_closed(w: WeightLike) -> SignedWeightSum:
     psi2 of (m1 - 1, m2 - 1) plus _psi2_row(m1, m2).
     """
     m1, m2 = _as_dominant(w)
-    acc: dict[Weight, int] = {}
-    get, make = acc.get, Weight._make
-    for l in range(min(m1, m2) + 1):
-        for key, c in _psi2_row(m1 - l, m2 - l):
-            key = make(key)
-            acc[key] = get(key, 0) + c
-    if 0 in acc.values():  # a scan is cheaper than always copying
-        acc = {wt: c for wt, c in acc.items() if c}
+    make = Weight._make
+    rows = chain.from_iterable(_psi2_row(m1 - l, m2 - l)
+                               for l in range(min(m1, m2) + 1))
     # _psi2_row checked every key dominant, and m1, m2 are ints
-    return SignedWeightSum._trusted(acc)
+    return SignedWeightSum._trusted(_summed((make(key), c) for key, c in rows))
 
 
 def psi2_schur_form(m1: int, m2: int) -> SignedWeightSum:
@@ -99,18 +97,18 @@ def psi2_schur_form(m1: int, m2: int) -> SignedWeightSum:
     Takes partition coordinates m1 >= m2 >= 0 (so the weight is
     (m1 - m2, m2)) and sums signed partitions (2*m1 - k - 4*l, ...) over
     the three ranges, converting each partition (a, b) to the weight
-    (a - b, b).  Shares no code with psi2_closed by design.
+    (a - b, b), and leaves the sum to SignedWeightSum.  Shares no code
+    with psi2_closed but the accumulator, by design.
     """
     if not (isinstance(m1, int) and isinstance(m2, int) and m1 >= m2 >= 0):
         raise ValueError(f"({m1}, {m2}) is not a two-row partition")
-    acc: dict[tuple[int, int], int] = {}
+    summands: list[tuple[tuple[int, int], int]] = []
 
     def put(sign: int, a: int, b: int) -> None:
         if not (a >= b >= 0):
             raise ArithmeticError(
                 f"invalid partition summand ({a}, {b}) in the Schur-form sums")
-        key = (a - b, b)
-        acc[key] = acc.get(key, 0) + sign
+        summands.append(((a - b, b), sign))
 
     for l in range(min(m1 - m2, m2) + 1):
         for k in range(m1 - m2 - l + 1):
@@ -118,7 +116,7 @@ def psi2_schur_form(m1: int, m2: int) -> SignedWeightSum:
         for k in range(m2 - l + 1):
             put(-1 if k % 2 else 1, 2 * m1 - k - 4 * l, 2 * m2 - 2 * k - 2 * l)
         put(-1, 2 * m1 - 4 * l, 2 * m2 - 2 * l)
-    return SignedWeightSum(acc)
+    return SignedWeightSum(summands)
 
 
 def signed_dimension(s: SignedWeightSum) -> int:

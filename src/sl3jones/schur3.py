@@ -10,12 +10,14 @@ of the pattern's middle row.  For each entry k of the bottom row those
 counts form a symmetric trapezoid 1, 2, ..., p+1, ..., p+1, ..., 2, 1,
 so each run of monomials is built from ranges and repeats in C, not one
 min/max per monomial.
-Every Schur-basis expansion is one straightening pass: decompose_schur
-straightens the monomials of a symmetric polynomial (the Brauer-Klimyk
-rule with s_0 = 1), products in the Schur basis straighten the index
-sums lam + nu of the same rule without expanding any Schur polynomial,
-and the identity checks straighten their case-table rows the same way
-before comparing both sides as sl3 weights.
+Every Schur-basis expansion is one straightening pass, _straightened,
+whose signed partitions laurent's _summed adds up, as it adds every
+signed sum of the package: decompose_schur straightens the monomials of
+a symmetric polynomial (the Brauer-Klimyk rule with s_0 = 1), products
+in the Schur basis straighten the index sums lam + nu of the same rule
+without expanding any Schur polynomial, and the identity checks
+straighten their case-table rows the same way before comparing both
+sides as sl3 weights, which _weights sums with _summed as well.
 The plethysm oracle applies an Adams operation x_i -> x_i^a to a
 character and decomposes the result; it is the independent cross-check
 for the closed second-plethysm formula in the plethysm2 module, and for
@@ -43,6 +45,7 @@ import functools
 from itertools import chain, repeat
 from typing import Dict, Iterator, Tuple
 
+from .laurent import _summed
 from .sl3rep import SignedWeightSum, Weight, WeightLike, _as_dominant
 
 __all__ = [
@@ -88,12 +91,9 @@ def mul_sym(f: SymPoly3, g: SymPoly3) -> SymPoly3:
     """
     if len(f) > len(g):
         f, g = g, f
-    out: SymPoly3 = {}
-    for (a1, a2, a3), c1 in f.items():
-        for (b1, b2, b3), c2 in g.items():
-            key = (a1 + b1, a2 + b2, a3 + b3)
-            out[key] = out.get(key, 0) + c1 * c2
-    return {m: c for m, c in out.items() if c}
+    return _summed(((a1 + b1, a2 + b2, a3 + b3), c1 * c2)
+                   for (a1, a2, a3), c1 in f.items()
+                   for (b1, b2, b3), c2 in g.items())
 
 
 def adams(f: SymPoly3, a: int) -> SymPoly3:
@@ -121,10 +121,10 @@ def straighten(lam: GLIndex) -> tuple[int, GLIndex] | None:
 
     Adds the staircase (2, 1, 0), sorts, and subtracts it back; a repeated
     shifted exponent means the alternant vanishes and None is returned.
-    The signed sort is _straighten_sum's, on the one term (lam, 1).  An
+    The signed sort is _straightened's, on the one term (lam, 1).  An
     index without exactly three entries raises ValueError.
     """
-    for part, sign in _straighten_sum(((lam, 1),)).items():
+    for part, sign in _straightened(((lam, 1),)):
         return sign, part
     return None
 
@@ -189,16 +189,14 @@ def schur(lam: GLIndex) -> SymPoly3:
     return dict(_schur_terms(lam))
 
 
-def _straighten_sum(pairs) -> dict[GLIndex, int]:
-    """Sum c * s_lam over (lam, c) pairs in the partition basis.
+def _straightened(pairs) -> Iterator[tuple[GLIndex, int]]:
+    """The (lam, c) pairs as signed (partition, c) pairs, in order.
 
-    Each index adds c times the sign of its straightening at its
+    Each index gives c times the sign of its straightening at its
     partition, or nothing when it straightens to zero: the shifted
     exponents (l1 + 2, l2 + 1, l3) are sorted by three compare-and-swaps,
     each flipping the sign, and a repeated one kills the term.
     """
-    out: dict[GLIndex, int] = {}
-    get = out.get
     for (l1, l2, l3), c in pairs:
         a, b = l1 + 2, l2 + 1
         if a == b or b == l3 or a == l3:
@@ -209,9 +207,12 @@ def _straighten_sum(pairs) -> dict[GLIndex, int]:
             b, l3, c = l3, b, -c
             if a < b:
                 a, b, c = b, a, -c
-        part = (a - 2, b - 1, l3)
-        out[part] = get(part, 0) + c
-    return {p: c for p, c in out.items() if c}
+        yield (a - 2, b - 1, l3), c
+
+
+def _straighten_sum(pairs) -> dict[GLIndex, int]:
+    """Sum c * s_lam over (lam, c) pairs in the partition basis."""
+    return _summed(_straightened(pairs))
 
 
 def decompose_schur(f: SymPoly3) -> dict[GLIndex, int]:
@@ -254,14 +255,9 @@ def _weights(pairs) -> SignedWeightSum:
     added here.  A partition's weight is dominant, so the merged sum is
     built with _trusted.
     """
-    out: dict[Weight, int] = {}
-    get, make = out.get, Weight._make
-    for (l1, l2, l3), c in pairs:
-        w = make((l1 - l2, l2 - l3))
-        out[w] = get(w, 0) + c
-    if 0 in out.values():  # a scan is cheaper than always copying
-        out = {w: c for w, c in out.items() if c}
-    return SignedWeightSum._trusted(out)
+    make = Weight._make
+    return SignedWeightSum._trusted(_summed(
+        (make((l1 - l2, l2 - l3)), c) for (l1, l2, l3), c in pairs))
 
 
 def _pairs(flat) -> Iterator[tuple[GLIndex, int]]:
@@ -323,8 +319,7 @@ def verify_lemma_LR(m1: int, m2: int) -> bool:
         return _weights(_product({lam: 1}, g).items())
 
     def row(terms):  # (coeff, a, b) -> the sum of coeff * s_{a,b}
-        return _weights(_straighten_sum(((a, b, 0), c)
-                                        for c, a, b in terms).items())
+        return _weights(_straightened(((a, b, 0), c) for c, a, b in terms))
 
     one_box = row([(1, m1 + 1, 0), (1, m1, 1)])
     if times((m1, 0, 0), _S1) != one_box:

@@ -16,9 +16,9 @@ roots, which qdim_weyl and twist_weyl_check pair with, are constants.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Union
 
-from .laurent import ScaledLaurent, Write, _Value
+from .laurent import ScaledLaurent, Write, _summed, _Value
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -50,8 +50,13 @@ WeightLike = Union[Weight, tuple[int, int]]
 
 def _as_weight(w: WeightLike) -> Weight:
     wt = w if type(w) is Weight else Weight._make(w)
-    if not (isinstance(wt.m1, int) and isinstance(wt.m2, int)):
-        raise TypeError(f"weight coordinates must be ints, got {wt!r}")
+    m1, m2 = wt
+    if type(m1) is not int or type(m2) is not int:
+        if not (isinstance(m1, int) and isinstance(m2, int)):
+            raise TypeError(f"weight coordinates must be ints, got {wt!r}")
+        # a bool or other int subclass becomes the plain int it equals, so
+        # equal weights write the same text
+        wt = Weight(int(m1), int(m2))
     return wt
 
 
@@ -170,6 +175,12 @@ def twist_weyl_check(w: WeightLike) -> bool:
             == Fraction(twist_exponent(wt), 3))
 
 
+def _multiplicity(c: int) -> int:
+    if not isinstance(c, int):
+        raise TypeError(f"multiplicity {c!r} is not an int")
+    return c
+
+
 class SignedWeightSum(_Value):
     """Finite Z-linear combination of dominant weights.
 
@@ -181,17 +192,10 @@ class SignedWeightSum(_Value):
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Union[Mapping, list, tuple] = ()):
+    def __init__(self, terms: Union[Mapping, Iterable] = ()):
         pairs = terms.items() if isinstance(terms, Mapping) else terms
-        clean: dict[Weight, int] = {}
-        for w, c in pairs:
-            wt = _as_dominant(w)
-            if not isinstance(c, int):
-                raise TypeError(f"multiplicity {c!r} is not an int")
-            clean[wt] = clean.get(wt, 0) + c
-        if 0 in clean.values():  # a scan is cheaper than always copying
-            clean = {w: c for w, c in clean.items() if c}
-        object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_terms", _summed(
+            (_as_dominant(w), _multiplicity(c)) for w, c in pairs))
 
     def items(self) -> tuple[tuple[Weight, int], ...]:
         return tuple(sorted(self._terms.items()))

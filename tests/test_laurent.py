@@ -1,16 +1,22 @@
 """Exact Laurent arithmetic on the fractional exponent lattice."""
 
+import ast
 import copy
 import pickle
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
+import sl3jones
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sl3jones.laurent import (InexactDivisionError, ScaledLaurent, ScaleError,
-                              UndefinedDegreeError, _DenseTerms)
+                              UndefinedDegreeError, _DenseTerms, _summed)
+
+
+PACKAGE = Path(sl3jones.__file__).parent
 
 
 def L(terms, scale=6):
@@ -91,7 +97,7 @@ def test_duplicate_pairs_accumulate():
 
 
 def test_type_validation():
-    # a Mapping is checked in bulk, pairs one by one: both must refuse
+    # a Mapping and its list of pairs take the one checked path: both refuse
     for bad in ({0: 1.5}, {0.5: 1}, {0: 1, 3: "2"}, {0: 1, None: 1}):
         with pytest.raises(TypeError, match="is not an int pair"):
             L(bad)
@@ -340,6 +346,84 @@ def test_json_old_fixed_lattice_form_parses():
         "scale": 1, "terms": [[-1, "1"], [0, "1"], [1, "1"]]}
 
 
+# -- the one accumulator -------------------------------------------------
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(-3, 3)),
+                max_size=30))
+def test_summed_is_a_plain_sum_by_key(pairs):
+    want = {}
+    for k, c in pairs:  # the reference loop
+        want[k] = want.get(k, 0) + c
+    got = _summed(iter(pairs))  # a one-shot iterator
+    assert got == {k: c for k, c in want.items() if c}
+    assert set(want) - set(got) == {k for k, c in want.items() if c == 0}
+    first_seen = list(dict.fromkeys(k for k, _ in pairs))
+    assert list(got) == [k for k in first_seen if want[k]]
+    assert all(type(c) is int for c in got.values())
+
+
+def test_summed_examples():
+    assert _summed([]) == {}
+    assert list(_summed([("b", 1), ("a", 2), ("b", -1), ("c", True)]).items()) \
+        == [("a", 2), ("c", 1)]
+    assert type(_summed([(0, True)])[0]) is int
+
+
+def _accumulations(source: str) -> list[tuple[str, int]]:
+    """(enclosing function, line) of each x[k] = get(k, 0) + c in source.
+
+    The get may be a bound method (x.get) or a local alias of one, and the
+    0 default may sit on either side of the +.
+    """
+    def is_default_get(node, key):
+        return (isinstance(node, ast.Call) and len(node.args) == 2
+                and getattr(node.func, "attr", getattr(node.func, "id", ""))
+                == "get"
+                and ast.dump(node.args[0]) == ast.dump(key)
+                and isinstance(node.args[1], ast.Constant)
+                and node.args[1].value == 0)
+
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Subscript)
+                and isinstance(node.value, ast.BinOp)
+                and isinstance(node.value.op, ast.Add)
+                and any(is_default_get(side, node.targets[0].slice)
+                        for side in (node.value.left, node.value.right))):
+            found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_accumulator_guard_finds_every_form():
+    source = ("def f(out, k, c):\n"
+              "    out[k] = out.get(k, 0) + c\n"
+              "    get = out.get\n"
+              "    out[k] = get(k, 0) + c * c\n"
+              "    out[(k, 1)] = c + out.get((k, 1), 0)\n"
+              "    out[k] = out.get(c, 0) + c\n"  # another key: no sum
+              "    out[k] = out.get(k, 1) + c\n")  # another default
+    assert _accumulations(source) == [("f", 2), ("f", 4), ("f", 5)]
+
+
+def test_summed_is_the_only_accumulation_loop():
+    # every signed sum of the package goes through laurent._summed
+    found = [(path.name, function, line)
+             for path in sorted(PACKAGE.glob("*.py"))
+             for function, line in _accumulations(path.read_text("utf-8"))]
+    assert [(name, function) for name, function, _ in found] == \
+        [("laurent.py", "_summed")], found
+
+
 # -- ascending term order ------------------------------------------------
 
 # (exponent, coefficient) pairs in drawn order, repeats and zeros allowed
@@ -471,8 +555,8 @@ def test_value_on_dense_terms_equals_value_on_a_dict(spec, h):
 @settings(max_examples=120)
 @given(dense_specs, st.sampled_from([1, 2, 6]), lattice_polys)
 def test_constructor_and_add_copy_a_dict_and_a_dense_map(spec, scale, h):
-    # the constructor and + copy a dict and a _DenseTerms by different
-    # routes; both copies are dicts, equal, and detached from the input
+    # the constructor and + read a dict and a _DenseTerms through the same
+    # accumulator; both copies are dicts, equal, and detached from the input
     d, dense = dense_ref(*spec), _DenseTerms(*spec)
     f, g = ScaledLaurent(scale, d), ScaledLaurent(scale, dense)
     assert f == g and hash(f) == hash(g)

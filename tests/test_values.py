@@ -151,6 +151,25 @@ def test_plain_tuple_knot_and_color_write_the_same_json():
         assert pickle.loads(pickle.dumps(r)).to_json() == ref.to_json()
 
 
+def test_a_bool_input_is_stored_as_the_plain_int_it_equals():
+    # True == 1, but a stored True wrote "True" where 1 writes "1"
+    r = jones_rosso(TorusKnotSpec(3, 4), (True, 0))
+    assert r.to_json() == jones_rosso(TorusKnotSpec(3, 4), (1, 0)).to_json()
+    assert r.to_json_dict()["color"] == [1, 0]
+    assert repr(TorusKnotSpec(True, 4)) == "TorusKnotSpec(a=1, b=4)"
+    assert ColoredJonesResult(T23.value, (True * 2, 3), (True, False)) \
+        .to_json() == T23.to_json()
+    assert ScaledLaurent(1, {True: 1}).to_text() == "1*q^1"
+    assert ScaledLaurent(True, [(0, True)]).to_json() == \
+        '{"scale":1,"terms":[[0,"1"]]}'
+    assert SignedWeightSum({(True, 0): 1}).to_json() == '{"terms":[[1,0,1]]}'
+    assert SignedWeightSum({Weight(0, False): True}).to_text() == "+V_{0,0}"
+    (w, c), = SignedWeightSum({(True, 0): True}).items()
+    (e, k), = ScaledLaurent(True, {True: True}).items()
+    values = [r.knot.a, r.color.m1, *w, c, e, k]
+    assert [type(v) for v in values] == [int] * len(values)
+
+
 @pytest.mark.parametrize("build, exc, message", [
     (lambda: TorusKnotSpec(2.0, 3), TypeError,
      "torus parameters must be ints, got TorusKnotSpec(a=2.0, b=3)"),
