@@ -310,7 +310,8 @@ class ScaledLaurent(_Value):
         if not isinstance(scale, int) or scale < 1:
             raise ScaleError(f"scale must be a positive integer, got {scale!r}")
         pairs = terms.items() if isinstance(terms, Mapping) else terms
-        scale, clean = int(scale), _summed(_int_pairs(pairs))
+        clean = _summed(_int_pairs(pairs))
+        scale = int(scale)  # a bool scale is stored as the int it equals
         if scale != 1:  # the integer lattice is always reduced
             g = gcd(scale, *clean)
             if g != 1:

@@ -366,8 +366,8 @@ def test_summed_is_a_plain_sum_by_key(pairs):
 
 def test_summed_examples():
     assert _summed([]) == {}
-    assert list(_summed([("b", 1), ("a", 2), ("b", -1), ("c", True)]).items()) \
-        == [("a", 2), ("c", 1)]
+    pairs = [("b", 1), ("a", 2), ("b", -1), ("c", True)]
+    assert list(_summed(pairs).items()) == [("a", 2), ("c", 1)]
     assert type(_summed([(0, True)])[0]) is int
 
 
