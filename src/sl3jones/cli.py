@@ -178,17 +178,19 @@ def _enforce_limit(args) -> None:
     """Reject out-of-range options before any work.
 
     --limit must be at least 0, --m1, --m2 and --max lie in 0..--limit
-    (100 without one), --a lies in 1..--limit, and --jobs must be at
-    least 1.  The a >= 3 numerator spans the exponents of the Adams
-    images, which grow with a, so --a is bounded like the colors.
+    (100 without one), --a lies in 1..max(2, --limit), and --jobs must
+    be at least 1.  The a >= 3 numerator spans the exponents of the
+    Adams images, which grow with a, so --a is bounded like the colors;
+    a = 2, the default, is the closed-form route and is never refused.
     """
     limit = getattr(args, "limit", 100)
     if limit < 0:
         raise ValueError(f"--limit {limit} is negative")
-    for name, least in (("a", 1), ("m1", 0), ("m2", 0), ("max", 0)):
+    for name, least, most in (("a", 1, max(2, limit)), ("m1", 0, limit),
+                              ("m2", 0, limit), ("max", 0, limit)):
         v = getattr(args, name, None)
-        if v is not None and not least <= v <= limit:
-            raise ValueError(f"--{name} {v} lies outside {least}..{limit}"
+        if v is not None and not least <= v <= most:
+            raise ValueError(f"--{name} {v} lies outside {least}..{most}"
                              + (" (see --limit)" if "limit" in args else ""))
     if getattr(args, "jobs", 1) < 1:
         raise ValueError("--jobs must be at least 1")

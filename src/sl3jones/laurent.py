@@ -19,16 +19,17 @@ and must leave no remainder.
 
 The public constructor checks and normalizes its input, and always keeps
 a dict.  It takes a Mapping or (exponent, coefficient) pairs down one
-path, and so do __add__ and __mul__, which hand it their pairs: the
-stream _int_pairs checks each pair, and _summed adds them up.  _summed
-is the package's one accumulator of signed sums; the sums of schur3,
-plethysm2 and sl3rep go through it too.  An internal caller that
-already guarantees the normal form (scale reduced, no zero entry, every
-term an int pair, exponents ascending) builds the value with _trusted
-instead, which runs no check and keeps the term map it is given, a dict
-or a _DenseTerms; _trusted, immutability, pickling, equality, hashing
-and the repr come from _Value, the base of the package's slotted value
-types.
+path: the stream _int_pairs checks each pair, and _normal sums them with
+_summed, reduces the scale and orders the terms.  __add__ and __mul__
+hand _normal their pairs directly, since pairs built from two values
+in normal form need no check.  _summed is the package's one accumulator
+of signed sums; the sums of schur3, plethysm2 and sl3rep go through it
+too.  An internal caller that already guarantees the normal form (scale
+reduced, no zero entry, every term an int pair, exponents ascending)
+builds the value with _trusted instead, which runs no check and keeps
+the term map it is given, a dict or a _DenseTerms; _trusted,
+immutability, pickling, equality, hashing and the repr come from
+_Value, the base of the package's slotted value types.
 write_text and write_json are the one text and the one JSON writer: each
 hands the rendering, straight from the ordered terms, to a write
 callable in chunks of CHUNK_TERMS terms, so a value of any size is
@@ -293,6 +294,26 @@ def _int_pairs(pairs: TermsLike) -> Iterator[tuple[int, int]]:
         yield e, c
 
 
+def _normal(scale: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, dict]:
+    """The int pairs on the 1/scale lattice, summed, in normal form.
+
+    Returns the reduced scale and the ascending term dict with no zero
+    entry.  The pairs are not checked: the constructor passes them through
+    _int_pairs first, and __add__ and __mul__ build them from two values
+    already in normal form.
+    """
+    clean = _summed(pairs)
+    if scale != 1:  # the integer lattice is always reduced
+        g = gcd(scale, *clean)
+        if g != 1:
+            scale //= g
+            clean = {e // g: c for e, c in clean.items()}
+    order = sorted(clean)
+    if order != list(clean):  # a comparison is cheaper than a rebuild
+        clean = {e: clean[e] for e in order}
+    return scale, clean
+
+
 def _stretch(terms: Mapping[int, int], k: int) -> dict[int, int]:
     """terms with every exponent multiplied by k."""
     return {e * k: c for e, c in terms.items()}
@@ -310,16 +331,8 @@ class ScaledLaurent(_Value):
         if not isinstance(scale, int) or scale < 1:
             raise ScaleError(f"scale must be a positive integer, got {scale!r}")
         pairs = terms.items() if isinstance(terms, Mapping) else terms
-        clean = _summed(_int_pairs(pairs))
         scale = int(scale)  # a bool scale is stored as the int it equals
-        if scale != 1:  # the integer lattice is always reduced
-            g = gcd(scale, *clean)
-            if g != 1:
-                scale //= g
-                clean = {e // g: c for e, c in clean.items()}
-        order = sorted(clean)
-        if order != list(clean):  # a comparison is cheaper than a rebuild
-            clean = {e: clean[e] for e in order}
+        scale, clean = _normal(scale, _int_pairs(pairs))
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "_terms", clean)
 
@@ -380,7 +393,8 @@ class ScaledLaurent(_Value):
         if not isinstance(other, ScaledLaurent):
             return NotImplemented
         scale, a, b = self._common(other)
-        return ScaledLaurent(scale, chain(a.items(), b.items()))
+        return ScaledLaurent._trusted(*_normal(scale,
+                                               chain(a.items(), b.items())))
 
     def __neg__(self) -> "ScaledLaurent":
         return ScaledLaurent._trusted(
@@ -407,8 +421,9 @@ class ScaledLaurent(_Value):
         scale, a, b = self._common(other)
         if len(a) > len(b):
             a, b = b, a
-        return ScaledLaurent(scale, ((e1 + e2, c1 * c2) for e1, c1 in a.items()
-                                     for e2, c2 in b.items()))
+        return ScaledLaurent._trusted(*_normal(
+            scale, ((e1 + e2, c1 * c2) for e1, c1 in a.items()
+                    for e2, c2 in b.items())))
 
     def __rmul__(self, other) -> "ScaledLaurent":
         if isinstance(other, int):

@@ -17,7 +17,8 @@ a symmetric polynomial (the Brauer-Klimyk rule with s_0 = 1), products
 in the Schur basis straighten the index sums lam + nu of the same rule
 without expanding any Schur polynomial, and the identity checks
 straighten their case-table rows the same way before comparing both
-sides as sl3 weights, which _weights sums with _summed as well.
+sides as plain {(m1, m2): c} maps of sl3 weights, which _weight_map
+sums with _summed as well.
 The plethysm oracle applies an Adams operation x_i -> x_i^a to a
 character and decomposes the result; it is the independent cross-check
 for the closed second-plethysm formula in the plethysm2 module, and for
@@ -28,8 +29,12 @@ a stream, which schur collects into a dict and jones_rosso folds
 straight into its Adams weight map, so no request keeps a character
 alive after it returns, whatever its size.  The decomposed Adams
 images are memoized per process, in an lru_cache of 4096 entries; each
-entry is one flat tuple of ints, four per partition (l1, l2, l3, c),
-which its readers take back as (partition, c) pairs one at a time.  The
+entry is one flat tuple of ints, four per partition (l1, l2, l3, c).
+psi_oracle turns the four-int groups straight into Weight keys in one
+pass, with no pair and no second summation: the partitions of one image
+all have the same number of boxes, so no two share a weight.  The
+recurrence takes an entry back as (partition, c) pairs from _pairs,
+one at a time, since it multiplies one image and merges three.  The
 recurrence check reads psi2 of s_{m1,m2}, s_{m1+1,m2}, s_{m1-1,m2-1}
 and s_{m1,m2+1}, which psi_oracle decomposes too (as V_(m1-m2, m2)),
 so in a session that runs both, as selfcheck and the benchmark's
@@ -246,18 +251,16 @@ def _product(f: dict[GLIndex, int], g: SymPoly3) -> dict[GLIndex, int]:
                            for (n1, n2, n3), d in g.items())
 
 
-def _weights(pairs) -> SignedWeightSum:
-    """(partition, c) pairs as a signed sum of sl3 weights.
+def _weight_map(pairs) -> dict[tuple[int, int], int]:
+    """(partition, c) pairs as a plain {(m1, m2): c} map of sl3 weights.
 
     A partition (l1, l2, l3) is the dominant weight (l1 - l2, l2 - l3).
     Determinant powers act trivially on sl3 characters: partitions one
     full column apart give the same weight, so their multiplicities are
-    added here.  A partition's weight is dominant, so the merged sum is
-    built with _trusted.
+    added here, and a weight whose sum is 0 is dropped.  The lemma checks
+    compare two such maps, so no Weight or SignedWeightSum is built.
     """
-    make = Weight._make
-    return SignedWeightSum._trusted(_summed(
-        (make((l1 - l2, l2 - l3)), c) for (l1, l2, l3), c in pairs))
+    return _summed(((l1 - l2, l2 - l3), c) for (l1, l2, l3), c in pairs)
 
 
 def _pairs(flat) -> Iterator[tuple[GLIndex, int]]:
@@ -272,14 +275,15 @@ def _adams_decomposed(lam: GLIndex, a: int) -> tuple[int, ...]:
 
     Four ints per partition of the expansion, its three parts and its
     coefficient, in one tuple: a quarter of the bytes of a tuple of
-    ((l1, l2, l3), c) pairs, which its readers take one at a time from
-    _pairs.  Memoized, unlike the character it is built from:
-    psi_oracle and verify_lemma_psi2_recurrence read the same Adams
-    images, and each is decomposed once per process.  schur, adams and
-    decompose_schur are called through the module's globals, so a
-    rebound name is seen on every miss; decompose_schur checks symmetry
-    on every call it gets.  The entry is a tuple, which no reader can
-    change.
+    ((l1, l2, l3), c) pairs.  psi_oracle reads the four-int groups
+    straight into weights; the recurrence takes them back as pairs, one
+    at a time, from _pairs.  Memoized, unlike the character it is built
+    from: psi_oracle and verify_lemma_psi2_recurrence read the same
+    Adams images, and each is decomposed once per process.  schur,
+    adams and decompose_schur are called through the module's globals,
+    so a rebound name is seen on every miss; decompose_schur checks
+    symmetry on every call it gets.  The entry is a tuple, which no
+    reader can change.
     """
     return tuple(chain.from_iterable(
         (l1, l2, l3, c) for (l1, l2, l3), c
@@ -294,12 +298,23 @@ def psi_oracle(w: WeightLike, a: int) -> SignedWeightSum:
     (l1 - l2, l2 - l3) with signed multiplicities.  The decomposition is
     memoized per process as one flat tuple of ints (_adams_decomposed);
     the character is rebuilt on every miss and dropped once it is
-    decomposed.
+    decomposed.  The entry's four-int groups become Weight keys in one
+    pass, with no summation: every partition of psi^a(s_lam) has
+    a * |lam| boxes, so distinct partitions give distinct weights, and
+    the entry holds no zero coefficient.  ArithmeticError is raised if
+    two groups ever map to one weight.
     """
     wt = _as_dominant(w)
     if not isinstance(a, int) or a < 1:
         raise ValueError(f"Adams degree must be a positive integer, got {a!r}")
-    return _weights(_pairs(_adams_decomposed((wt.m1 + wt.m2, wt.m2, 0), a)))
+    flat = _adams_decomposed((wt.m1 + wt.m2, wt.m2, 0), a)
+    it, new = iter(flat), tuple.__new__  # a Weight without _make's checks
+    terms = {new(Weight, (l1 - l2, l2 - l3)): c
+             for l1, l2, l3, c in zip(it, it, it, it)}
+    if 4 * len(terms) != len(flat):
+        raise ArithmeticError(f"two partitions of psi^{a} of {wt} share a "
+                              "weight")
+    return SignedWeightSum._trusted(terms)
 
 
 def verify_lemma_LR(m1: int, m2: int) -> bool:
@@ -310,16 +325,16 @@ def verify_lemma_LR(m1: int, m2: int) -> bool:
     the order m2 = 0, m2 = 1, m1 = m2, generic (m1 - m2 >= 1 and
     m2 >= 2).  Index pairs falling outside the partition range
     straighten, possibly to zero, and both sides are compared as signed
-    sums of sl3 weights.
+    maps of sl3 weights, from _weight_map.
     """
     if not (isinstance(m1, int) and isinstance(m2, int) and m1 >= m2 >= 0):
         raise ValueError(f"({m1}, {m2}) is not a two-row partition")
 
     def times(lam, g):
-        return _weights(_product({lam: 1}, g).items())
+        return _weight_map(_product({lam: 1}, g).items())
 
     def row(terms):  # (coeff, a, b) -> the sum of coeff * s_{a,b}
-        return _weights(_straightened(((a, b, 0), c) for c, a, b in terms))
+        return _weight_map(_straightened(((a, b, 0), c) for c, a, b in terms))
 
     one_box = row([(1, m1 + 1, 0), (1, m1, 1)])
     if times((m1, 0, 0), _S1) != one_box:
@@ -363,9 +378,9 @@ def verify_lemma_psi2_recurrence(m1: int, m2: int) -> bool:
 
     psi2(s_{m1,m2+1}) = psi2(s_{m1,m2}) * p_2
                         - psi2(s_{m1+1,m2}) - psi2(s_{m1-1,m2-1})
-    with p_2 = s_2 - s_{1,1}, compared as signed sums of sl3 weights
-    with the two subtracted images moved to the left-hand side;
-    requires m1 >= m2 + 1 >= 1.  For m2 = 0 the last term has index
+    with p_2 = s_2 - s_{1,1}, compared as signed maps of sl3 weights
+    (_weight_map) with the two subtracted images moved to the left-hand
+    side; requires m1 >= m2 + 1 >= 1.  For m2 = 0 the last term has index
     (m1-1, -1), which straightens to the zero polynomial, so it drops out
     on its own.
     """
@@ -377,4 +392,4 @@ def verify_lemma_psi2_recurrence(m1: int, m2: int) -> bool:
 
     product = _product(dict(_pairs(psi2(m1, m2))), _P2)
     left = chain(psi2(m1, m2 + 1), psi2(m1 + 1, m2), psi2(m1 - 1, m2 - 1))
-    return _weights(_pairs(left)) == _weights(product.items())
+    return _weight_map(_pairs(left)) == _weight_map(product.items())

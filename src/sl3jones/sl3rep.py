@@ -198,7 +198,11 @@ class SignedWeightSum(_Value):
             (_as_dominant(w), _multiplicity(c)) for w, c in pairs))
 
     def items(self) -> tuple[tuple[Weight, int], ...]:
-        return tuple(sorted(self._terms.items()))
+        # the keys are distinct, so sorting them alone gives the order; a
+        # sort of bare Weights compares ints, not (Weight, c) pairs
+        terms = self._terms
+        order = sorted(terms)
+        return tuple(zip(order, map(terms.__getitem__, order)))
 
     def __getitem__(self, w: WeightLike) -> int:
         return self._terms.get(_as_weight(w), 0)
@@ -224,12 +228,9 @@ class SignedWeightSum(_Value):
         """Signed list like "+V_{0,0}-V_{1,2}", lexicographic weight order."""
         if not self._terms:
             return "0"
-        parts = []
-        for (m1, m2), c in self.items():
-            sign = "+" if c > 0 else "-"
-            mag = "" if abs(c) == 1 else str(abs(c))
-            parts.append(f"{sign}{mag}V_{{{m1},{m2}}}")
-        return "".join(parts)
+        return "".join([f"{'+' if c > 0 else '-'}"
+                        f"{'' if c in (1, -1) else abs(c)}V_{{{m1},{m2}}}"
+                        for (m1, m2), c in self.items()])
 
     # a weight sum stays small beside an invariant (psi2_closed has
     # 10,201 terms at (100,100)), so each writer writes it whole

@@ -228,6 +228,24 @@ def test_a_up_to_the_limit_is_computed(capsys, monkeypatch):
     assert got == want and got[0] == 0
 
 
+@pytest.mark.parametrize("argv", [
+    "jones --b 3 --m1 1 --m2 0 --limit 1",
+    "degrees --b 5 --m1 0 --m2 0 --limit 0",
+    "table --b 3 --max 1 --limit 1",
+    "plethysm --m1 0 --m2 0 --limit 0",
+])
+def test_a_small_limit_keeps_the_default_a(capsys, monkeypatch, argv):
+    # a = 2 is the closed-form route, so --limit 0 or 1 bounds the colors
+    # and ranges but never refuses the default --a
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    got = run(capsys, *argv.split())
+    want = run(capsys, *argv.split()[:-2], "--a", "2")
+    assert got == want and got[0] == 0 and got[1]
+    code, out, err = run(capsys, *argv.split(), "--a", "3")
+    assert code == 2 and out == ""
+    assert err == "usage error: --a 3 lies outside 1..2 (see --limit)\n"
+
+
 def test_negative_limit_is_its_own_usage_error(capsys):
     code, out, err = run(capsys, "jones", "--b", "3", "--m1", "1", "--m2",
                          "1", "--limit", "-5")

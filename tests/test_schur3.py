@@ -97,19 +97,19 @@ def test_schur_counts_match_the_pattern_loop():
             tuple(sorted(want.items())), lam
 
 
-def test_weights_is_what_the_constructor_builds():
+def test_weight_map_is_what_the_constructor_builds():
     # partitions one full column apart merge, and may cancel
     pairs = [((3, 1, 0), 2), ((4, 2, 1), -2), ((2, 2, 2), 1), ((1, 1, 1), 1),
              ((5, 2, 0), -1), ((6, 3, 1), 3)]
     for m1, m2, a in ((0, 0, 2), (3, 1, 2), (2, 4, 3), (5, 5, 4)):
         pairs += decompose_schur(adams(schur((m1 + m2, m2, 0)), a)).items()
     for cut in range(len(pairs) + 1):
-        got = schur3._weights(pairs[:cut])
+        got = schur3._weight_map(pairs[:cut])
         public = SignedWeightSum([((l1 - l2, l2 - l3), c)
                                   for (l1, l2, l3), c in pairs[:cut]])
-        assert got == public and hash(got) == hash(public)
-        assert got._terms == public._terms
-        assert all(type(w) is Weight and c for w, c in got._terms.items())
+        assert got == public._terms
+        assert list(got.items()) == list(public._terms.items())
+        assert all(c for c in got.values())
 
 
 # -- straightening --------------------------------------------------------
@@ -362,6 +362,29 @@ def test_psi_oracle_one_row_hooks():
             expect[part] = expect.get(part, 0) + sign * (-1 if k % 2 else 1)
         expect = {p: c for p, c in expect.items() if c}
         assert got == expect, m
+
+
+def test_psi_oracle_reads_its_memo_entry_as_the_summed_weights():
+    # the oracle list's 170 (w, a): one pass over the flat entry gives what
+    # summing its (partition, c) pairs as weights gives, in the same order
+    for a, mx in ((2, 10), (3, 6)):
+        for m1 in range(mx + 1):
+            for m2 in range(mx + 1):
+                got = psi_oracle((m1, m2), a)._terms
+                entry = schur3._adams_decomposed((m1 + m2, m2, 0), a)
+                want = schur3._weight_map(schur3._pairs(entry))
+                assert list(got.items()) == list(want.items()), (m1, m2, a)
+                assert all(type(w) is Weight for w in got), (m1, m2, a)
+
+
+def test_psi_oracle_refuses_two_partitions_of_one_weight(cold_schur3_memos,
+                                                       monkeypatch):
+    # the memo fixture comes first, so it is torn down after the patch
+    # (2, 1, 0) and (3, 2, 1) are one full column apart: both are (1, 1)
+    monkeypatch.setattr(schur3, "_adams_decomposed",
+                        lambda lam, a: (2, 1, 0, 1, 3, 2, 1, 1))
+    with pytest.raises(ArithmeticError, match="share a weight"):
+        psi_oracle((1, 1), 2)
 
 
 def test_psi_oracle_adjoint():
