@@ -31,7 +31,7 @@ import sys
 from . import __version__
 from .jones import (TorusKnotSpec, _degree_window, _rosso_jones, _t2b_diagonal,
                     degree_report, jones_rosso, jones_t2b)
-from .laurent import LaurentError
+from .laurent import LaurentError, ScaledLaurent
 from .plethysm2 import psi2_closed, psi2_schur_form, signed_dimension
 from .schur3 import (NotSymmetricError, psi_oracle, verify_lemma_LR,
                      verify_lemma_psi2_recurrence)
@@ -399,8 +399,8 @@ def _selfcheck_properties(mx: int):
                    for res in _t2b_diagonal(b, top))
 
     def unknot_normalization():
-        if not all(jones_t2b(1, w).value == jones_t2b(1, w).value.one()
-                   for w in rng2):
+        one = ScaledLaurent.one()
+        if not all(jones_t2b(1, w).value == one for w in rng2):
             return False
         return all(jones_t2b(3, w).value.eval_one() == 1 for w in rng2)
 
@@ -438,17 +438,21 @@ def _cmd_selfcheck(args) -> int:
 # -- parser -------------------------------------------------------------
 
 
-def _add_common(p, color=True, knot=False, var=False, fmt=True, cache=False):
+def _add_common(p, color=True, knot=False, var=False, fmt=True, cache=False,
+                a_help=None):
     if knot:
-        p.add_argument("--a", type=int, default=2,
-                       help="torus strand count (default 2)")
+        a_help = "torus strand count (default 2)"
+    if a_help:
+        p.add_argument("--a", type=int, default=2, help=a_help)
+    if knot:
         p.add_argument("--b", type=int, required=True,
                        help="torus winding count")
     if color:
         p.add_argument("--m1", type=int, required=True)
         p.add_argument("--m2", type=int, required=True)
     p.add_argument("--limit", type=int, default=100,
-                   help="bound on m1, m2 and table ranges (default 100)")
+                   help="bound on m1, m2 and table ranges (default 100)"
+                   + ("; --a may be up to max(2, limit)" if a_help else ""))
     if var:
         p.add_argument("--var", choices=("q", "qinv"), default="q",
                        help="report in q or in 1/q (default q)")
@@ -474,9 +478,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_jones)
 
     p = sub.add_parser("plethysm", help="signed second-plethysm expansion")
-    p.add_argument("--a", type=int, default=2,
-                   help="plethysm degree (2 uses the closed form)")
-    _add_common(p, cache=True)
+    _add_common(p, cache=True,
+                a_help="plethysm degree (2 uses the closed form)")
     p.set_defaults(func=_plethysm)
 
     p = sub.add_parser("qdim", help="quantum dimension of a weight")

@@ -20,9 +20,9 @@ and must leave no remainder.
 The public constructor checks and normalizes its input, and always keeps
 a dict.  It takes a Mapping or (exponent, coefficient) pairs down one
 path: the stream _int_pairs checks each pair, and _normal sums them with
-_summed, reduces the scale and orders the terms.  __add__ and __mul__
-hand _normal their pairs directly, since pairs built from two values
-in normal form need no check.  _summed is the package's one accumulator
+_summed, reduces the scale and orders the terms.  __add__, __mul__ and
+div_exact hand _normal their pairs directly, since pairs built from two
+values in normal form need no check.  _summed is the package's one accumulator
 of signed sums; the sums of schur3, plethysm2 and sl3rep go through it
 too.  An internal caller that already guarantees the normal form (scale
 reduced, no zero entry, every term an int pair, exponents ascending)
@@ -433,9 +433,11 @@ class ScaledLaurent(_Value):
     def div_exact(self, divisor: "ScaledLaurent") -> "ScaledLaurent":
         """Exact quotient self / divisor.
 
-        Long division from the lowest exponent on the common exponent
-        lattice.  Raises InexactDivisionError unless divisor * quotient
-        reproduces self exactly with integer coefficients.
+        One long division from the lowest exponent on the common exponent
+        lattice, in steps of the gcd of both operands' exponent offsets (1
+        for two monomials), so sparse operands cost steps, not exponents.
+        Raises InexactDivisionError unless divisor * quotient reproduces
+        self exactly with integer coefficients.
         """
         if not isinstance(divisor, ScaledLaurent):
             raise TypeError("divisor must be a ScaledLaurent")
@@ -453,17 +455,9 @@ class ScaledLaurent(_Value):
             step = gcd(step, e - f_lo)
         for e, _ in g_items:
             step = gcd(step, e - g_lo)
-        if step == 0:
-            # monomial / monomial
-            q, r = divmod(f_items[0][1], g_items[0][1])
-            if r:
-                raise InexactDivisionError(
-                    "monomial coefficient not divisible")
-            return ScaledLaurent(scale, {f_lo - g_lo: q})
+        step = step or 1
         nf = (f_items[-1][0] - f_lo) // step + 1
         ng = (g_items[-1][0] - g_lo) // step + 1
-        if nf < ng:
-            raise InexactDivisionError("divisor span exceeds dividend span")
         fa = [0] * nf
         for e, c in f_items:
             fa[(e - f_lo) // step] = c
@@ -481,11 +475,12 @@ class ScaledLaurent(_Value):
                 quot[i] = qc
                 for off, gc in g_rest:
                     fa[i + off] -= qc * gc
+        # for nq <= 0 the slice still ends in fa[-1], the dividend's top
         if any(fa[nq:]):
             raise InexactDivisionError("nonzero remainder")
         base = f_lo - g_lo
-        return ScaledLaurent(
-            scale, {base + i * step: c for i, c in enumerate(quot) if c})
+        return ScaledLaurent._trusted(*_normal(
+            scale, ((base + i * step, c) for i, c in enumerate(quot) if c)))
 
     # -- structure maps ----------------------------------------------
 

@@ -14,11 +14,11 @@ Every Schur-basis expansion is one straightening pass, _straightened,
 whose signed partitions laurent's _summed adds up, as it adds every
 signed sum of the package: decompose_schur straightens the monomials of
 a symmetric polynomial (the Brauer-Klimyk rule with s_0 = 1), products
-in the Schur basis straighten the index sums lam + nu of the same rule
-without expanding any Schur polynomial, and the identity checks
+in the Schur basis stream the straightened index sums lam + nu of the
+same rule without expanding any Schur polynomial, and the identity checks
 straighten their case-table rows the same way before comparing both
-sides as plain {(m1, m2): c} maps of sl3 weights, which _weight_map
-sums with _summed as well.
+sides as plain {(m1, m2): c} maps of sl3 weights, each side summed once,
+by _weight_map with _summed.
 The plethysm oracle applies an Adams operation x_i -> x_i^a to a
 character and decomposes the result; it is the independent cross-check
 for the closed second-plethysm formula in the plethysm2 module, and for
@@ -215,40 +215,37 @@ def _straightened(pairs) -> Iterator[tuple[GLIndex, int]]:
         yield (a - 2, b - 1, l3), c
 
 
-def _straighten_sum(pairs) -> dict[GLIndex, int]:
-    """Sum c * s_lam over (lam, c) pairs in the partition basis."""
-    return _summed(_straightened(pairs))
-
-
 def decompose_schur(f: SymPoly3) -> dict[GLIndex, int]:
     """Expand a symmetric polynomial in the Schur basis.
 
     The Brauer-Klimyk rule with s_0 = 1: f is the sum of f_m * s_m over
     its monomials x^m, each straightened to a signed partition or to
     zero.  Raises NotSymmetricError for non-symmetric input, for which
-    the rule does not hold.
+    the rule does not hold.  The straightened stream is summed once.
     """
     if not is_symmetric(f):
         raise NotSymmetricError("input is not a symmetric polynomial")
-    return _straighten_sum(f.items())
+    return _summed(_straightened(f.items()))
 
 
-def _product(f: dict[GLIndex, int], g: SymPoly3) -> dict[GLIndex, int]:
-    """Schur expansion of (sum of c_lam * s_lam) times a symmetric g.
+def _product(pairs, g: SymPoly3) -> Iterator[tuple[GLIndex, int]]:
+    """Schur terms of (sum of c_lam * s_lam) times a symmetric g, a stream.
 
-    f is in the Schur basis and g in the monomial basis.  By the
-    Brauer-Klimyk rule (Fulton and Harris, Representation Theory, section
-    25; Humphreys, Introduction to Lie Algebras and Representation
-    Theory, section 24), s_lam * g is the sum of g_nu * s_(lam + nu) over
-    the monomials x^nu of g, each index straightened; no Schur polynomial
-    is expanded.  Raises NotSymmetricError for a non-symmetric g, for
-    which the rule does not hold.
+    pairs are the (lam, c) terms of the Schur-basis side, g is in the
+    monomial basis.  By the Brauer-Klimyk rule (Fulton and Harris,
+    Representation Theory, section 25; Humphreys, Introduction to Lie
+    Algebras and Representation Theory, section 24), s_lam * g is the
+    sum of g_nu * s_(lam + nu) over the monomials x^nu of g, each index
+    straightened; no Schur polynomial is expanded, and the stream is left
+    for its reader to sum once.  A plain function that returns an
+    iterator, not a generator: a non-symmetric g, for which the rule
+    does not hold, raises NotSymmetricError at the call.
     """
     if not is_symmetric(g):
         raise NotSymmetricError("factor is not a symmetric polynomial")
-    return _straighten_sum(((l1 + n1, l2 + n2, l3 + n3), c * d)
-                           for (l1, l2, l3), c in f.items()
-                           for (n1, n2, n3), d in g.items())
+    return _straightened(((l1 + n1, l2 + n2, l3 + n3), c * d)
+                         for (l1, l2, l3), c in pairs
+                         for (n1, n2, n3), d in g.items())
 
 
 def _weight_map(pairs) -> dict[tuple[int, int], int]:
@@ -331,7 +328,7 @@ def verify_lemma_LR(m1: int, m2: int) -> bool:
         raise ValueError(f"({m1}, {m2}) is not a two-row partition")
 
     def times(lam, g):
-        return _weight_map(_product({lam: 1}, g).items())
+        return _weight_map(_product(((lam, 1),), g))
 
     def row(terms):  # (coeff, a, b) -> the sum of coeff * s_{a,b}
         return _weight_map(_straightened(((a, b, 0), c) for c, a, b in terms))
@@ -390,6 +387,6 @@ def verify_lemma_psi2_recurrence(m1: int, m2: int) -> bool:
     def psi2(a, b):  # the flat (l1, l2, l3, c) groups of psi2(s_{a,b})
         return _adams_decomposed((a, b, 0), 2)
 
-    product = _product(dict(_pairs(psi2(m1, m2))), _P2)
+    product = _product(_pairs(psi2(m1, m2)), _P2)
     left = chain(psi2(m1, m2 + 1), psi2(m1 + 1, m2), psi2(m1 - 1, m2 - 1))
-    return _weight_map(_pairs(left)) == _weight_map(product.items())
+    return _weight_map(_pairs(left)) == _weight_map(product)

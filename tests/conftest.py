@@ -5,9 +5,14 @@ import pytest
 from sl3jones import schur3
 
 
+# the memo itself, kept at import: a test that patches the name with
+# monkeypatch may still have it patched when the fixture is torn down
+_ADAMS_MEMO = schur3._adams_decomposed
+
+
 def clear_schur3_memos():
     """Empty the schur3 memo of Adams images; characters are not kept."""
-    schur3._adams_decomposed.cache_clear()
+    _ADAMS_MEMO.cache_clear()
 
 
 @pytest.fixture

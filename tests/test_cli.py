@@ -246,6 +246,19 @@ def test_a_small_limit_keeps_the_default_a(capsys, monkeypatch, argv):
     assert err == "usage error: --a 3 lies outside 1..2 (see --limit)\n"
 
 
+@pytest.mark.parametrize("command, takes_a", [
+    ("jones", True), ("degrees", True), ("table", True), ("plethysm", True),
+    ("qdim", False), ("twist", False),
+])
+def test_limit_help_names_the_bound_on_a(capsys, command, takes_a):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([command, "--help"])
+    assert exit_.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "bound on m1, m2 and table ranges (default 100)" in text
+    assert ("--a may be up to max(2, limit)" in text) == takes_a
+
+
 def test_negative_limit_is_its_own_usage_error(capsys):
     code, out, err = run(capsys, "jones", "--b", "3", "--m1", "1", "--m2",
                          "1", "--limit", "-5")

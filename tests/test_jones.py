@@ -482,7 +482,7 @@ def test_jones_rosso_makes_no_schur_decomposition(monkeypatch,
     def refuse(*args, **kwargs):
         raise AssertionError("the weight form straightened a weight")
 
-    for name in ("decompose_schur", "straighten", "_straighten_sum",
+    for name in ("decompose_schur", "straighten", "_straightened",
                  "_product", "is_symmetric"):
         monkeypatch.setattr(schur3, name, refuse)
     monkeypatch.setattr(SignedWeightSum, "__init__", refuse)

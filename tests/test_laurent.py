@@ -277,6 +277,15 @@ def test_div_exact_monomials():
         L({7: 3}).div_exact(L({3: 2}))
 
 
+def test_div_exact_on_sparse_operands_steps_over_the_gaps():
+    # the division runs on the gcd step of the exponent offsets, so a gap
+    # of 10**18 costs one step, not 10**18 list slots
+    n = 10 ** 18
+    one_plus = L({0: 1, n: 1})
+    assert (one_plus * one_plus).div_exact(one_plus) == one_plus
+    assert L({n: 6}).div_exact(L({0: 2})) == L({n: 3})
+
+
 # -- mirror, evaluation, degrees ----------------------------------------
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import clear_schur3_memos
 from sl3jones import schur3
+from sl3jones.laurent import _summed
 from sl3jones.plethysm2 import psi2_closed
 from sl3jones.schur3 import (NotSymmetricError, adams, decompose_schur,
                              is_symmetric, mul_sym, psi_oracle, schur,
@@ -281,7 +282,7 @@ def test_product_matches_monomial_reference(g):
         for l2 in range(l1 + 1):
             for l3 in range(l2 + 1):
                 lam = (l1, l2, l3)
-                assert schur3._product({lam: 1}, g) == \
+                assert _summed(schur3._product(((lam, 1),), g)) == \
                     decompose_schur(mul_sym(schur(lam), g)), lam
 
 
@@ -289,7 +290,8 @@ def test_product_of_second_adams_images_with_p2():
     for m1 in range(7):
         for m2 in range(m1 + 1):
             psi2 = adams(schur((m1, m2, 0)), 2)
-            got = schur3._product(decompose_schur(psi2), schur3._P2)
+            got = _summed(schur3._product(decompose_schur(psi2).items(),
+                                          schur3._P2))
             assert got == decompose_schur(mul_sym(psi2, schur3._P2)), (m1, m2)
 
 
@@ -378,12 +380,23 @@ def test_psi_oracle_reads_its_memo_entry_as_the_summed_weights():
 
 def test_psi_oracle_refuses_two_partitions_of_one_weight(cold_schur3_memos,
                                                        monkeypatch):
-    # the memo fixture comes first, so it is torn down after the patch
     # (2, 1, 0) and (3, 2, 1) are one full column apart: both are (1, 1)
     monkeypatch.setattr(schur3, "_adams_decomposed",
                         lambda lam, a: (2, 1, 0, 1, 3, 2, 1, 1))
     with pytest.raises(ArithmeticError, match="share a weight"):
         psi_oracle((1, 1), 2)
+
+
+def test_memo_fixture_holds_whatever_the_fixture_order(monkeypatch,
+                                                       cold_schur3_memos):
+    # monkeypatch is listed first, so the patch is still in place when the
+    # memo fixture is torn down: it clears the real memo, not the patch
+    real = schur3._adams_decomposed
+    assert real((1, 0, 0), 2) == (1, 1, 0, -1, 2, 0, 0, 1)
+    monkeypatch.setattr(schur3, "_adams_decomposed",
+                        lambda lam, a: (2, 0, 0, 1))
+    assert psi_oracle((1, 0), 2) == SignedWeightSum({(2, 0): 1})
+    assert real.cache_info().currsize == 1
 
 
 def test_psi_oracle_adjoint():
@@ -435,11 +448,11 @@ def test_lemma_checks_fail_on_a_dropped_product_term(monkeypatch, factor,
     g = schur3._P2 if factor == "p2" else schur(factor)
     full = schur3._product
 
-    def drop_highest(f, h):
-        out = full(f, h)
+    def drop_highest(pairs, h):
+        out = _summed(full(pairs, h))
         if h == g:
             del out[max(out)]
-        return out
+        return out.items()
 
     monkeypatch.setattr(schur3, "_product", drop_highest)
     assert not verify_lemma_LR(5, 2)
